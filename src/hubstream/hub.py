@@ -26,6 +26,7 @@ debounce behavior on a simulated timeline.
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -85,8 +86,16 @@ class Clock(ABC):
 
 
 class RealClock(Clock):
+    """Wall-clock milliseconds that never step.  The wall time is read
+    once, at construction; after that the clock advances with
+    time.monotonic(), so setting the system clock neither stalls nor
+    bursts sampling, while frame timestamps stay wall-based."""
+
+    def __init__(self):
+        self._origin_ms = time.time() * 1000 - time.monotonic() * 1000
+
     def now_ms(self) -> int:
-        return int(time.time() * 1000)
+        return int(time.monotonic() * 1000 + self._origin_ms)
 
     def wait_until(self, target_ms: int, wake: threading.Event) -> None:
         while not wake.is_set():
@@ -182,60 +191,72 @@ class FilterEngine:
 
     DELTA: a numeric field changing by no more than the threshold since
     its last sent value is suppressed to null; an unchanged string
-    likewise.  A frame in which nothing survived suppression is skipped
-    entirely.  Every KEYFRAME_EVERY-th sample tick (tick 0 included) is a
-    keyframe carrying all present values, bounding reconstruction drift.
+    likewise.  A change of NaN-ness (number to NaN or back) counts as a
+    change; NaN after NaN is suppressed.  A frame in which nothing
+    survived suppression is skipped entirely.  Every KEYFRAME_EVERY-th
+    sample tick (tick 0 included) is a keyframe carrying all present
+    values, bounding reconstruction drift.
 
     WINDOW_AVG(N): one output row per N ticks; numeric fields average
     their present samples, strings keep the latest present value, fields
     with no present sample in the window stay null.
+
+    The mode's function and the per-field table are chosen once, here;
+    process() only delegates.
     """
 
     def __init__(self, policy: FilterPolicy, field_layout):
         self.policy = policy
         self._layout = tuple(field_layout)
+        self._table = tuple((name, vtype is ValueType.STRING) for name, vtype in self._layout)
         self._last_sent: dict = {}
         self._acc: dict = {name: [] for name, _ in self._layout}
         self._acc_ticks = 0
+        self._process = {
+            FilterMode.NONE: _pass_through,
+            FilterMode.DELTA: self._delta,
+            FilterMode.WINDOW_AVG: self._window_avg,
+        }[policy.mode]
 
     def process(self, tick: int, row: dict) -> Optional[dict]:
-        mode = self.policy.mode
-        if mode is FilterMode.NONE:
-            return row
-        if mode is FilterMode.DELTA:
-            return self._delta(tick, row)
-        return self._window_avg(row)
+        return self._process(tick, row)
 
     def _delta(self, tick: int, row: dict) -> Optional[dict]:
-        keyframe = tick % KEYFRAME_EVERY == 0
+        get = row.get
+        last_sent = self._last_sent
         out = {}
         anything_sent = False
-        for name, vtype in self._layout:
-            value = row.get(name)
+        if tick % KEYFRAME_EVERY == 0:
+            for name, _ in self._table:
+                value = out[name] = get(name)
+                if value is not None:
+                    last_sent[name] = value
+                    anything_sent = True
+            return out if anything_sent else None
+        threshold = self.policy.threshold
+        for name, is_string in self._table:
+            value = get(name)
             if value is None:
                 out[name] = None
                 continue
-            if keyframe:
-                out[name] = value
-                self._last_sent[name] = value
-                anything_sent = True
-                continue
-            last = self._last_sent.get(name)
-            if vtype is ValueType.STRING:
+            last = last_sent.get(name)
+            if is_string or last is None:
                 changed = value != last
             else:
-                changed = last is None or abs(value - last) > self.policy.threshold
+                diff = value - last
+                # diff is NaN for NaN on either side (or inf - inf): then
+                # only a change of NaN-ness is a change
+                changed = abs(diff) > threshold or (
+                    diff != diff and (value != value) != (last != last)
+                )
             if changed:
-                out[name] = value
-                self._last_sent[name] = value
+                out[name] = last_sent[name] = value
                 anything_sent = True
             else:
                 out[name] = None
-        if not anything_sent:
-            return None
-        return out
+        return out if anything_sent else None
 
-    def _window_avg(self, row: dict) -> Optional[dict]:
+    def _window_avg(self, tick: int, row: dict) -> Optional[dict]:
         for name, _ in self._layout:
             value = row.get(name)
             if value is not None:
@@ -259,6 +280,10 @@ class FilterEngine:
         return out
 
 
+def _pass_through(tick: int, row: dict) -> dict:
+    return row
+
+
 @dataclass(frozen=True)
 class GracePolicy:
     """How long a plugin may stream nothing before it is dropped from the
@@ -273,34 +298,98 @@ class GracePolicy:
 
 # --- encoding ---------------------------------------------------------------------
 
+_FIXED_CODE = {ValueType.INT: "q", ValueType.DOUBLE: "d"}
+_EXACT_TYPE = {ValueType.INT: "int", ValueType.DOUBLE: "float"}
+_FRAME_PREFIX = struct.Struct(">IQQ")  # length, sequence, timestamp_ms
+
+
+def _compile_encoder(field_layout):
+    """Generate one straight-line encode(sequence, timestamp_ms, row)
+    function for this field layout (the exec idiom of namedtuple and
+    dataclasses).
+
+    Field names come from the server's ASSIGN, so they never enter the
+    source: the source names field i only as K{i} (its name) and E{i}
+    (its error text), both bound in the function's namespace.  When
+    every field is fixed-width, one precompiled struct packs a whole
+    frame of exact ints and floats in a single call; every other row
+    takes a per-field path with the type checks inlined, in field order,
+    so a TypeMismatch names the same field as a field-by-field loop.
+    """
+    count = len(field_layout)
+    fixed = all(vtype in _FIXED_CODE for _, vtype in field_layout)
+    namespace = {
+        "TypeMismatch": TypeMismatch,
+        "StructError": struct.error,
+        "NULL": b"\x00",
+        "JOIN": b"".join,
+        "PREFIX": _FRAME_PREFIX.pack,
+        "INT": struct.Struct(">Bq").pack,
+        "DOUBLE": struct.Struct(">Bd").pack,
+        "STRING": struct.Struct(">BI").pack,
+    }
+    lines = ["def encode(sequence, timestamp_ms, row):", "    get = row.get"]
+    for i, (name, vtype) in enumerate(field_layout):
+        namespace[f"K{i}"] = name
+        namespace[f"E{i}"] = f"field {name!r} wants {vtype.value}, got "
+        lines.append(f"    v{i} = get(K{i})")
+    if fixed:
+        checks = " and ".join(
+            f"type(v{i}) is {_EXACT_TYPE[vtype]}" for i, (_, vtype) in enumerate(field_layout)
+        )
+        namespace["FRAME"] = struct.Struct(
+            ">IQQ" + "".join("B" + _FIXED_CODE[vtype] for _, vtype in field_layout)
+        ).pack
+        values = "".join(f", 1, v{i}" for i in range(count))
+        lines += [
+            f"    if {checks or 'True'}:",
+            "        try:",
+            f"            return FRAME({16 + 9 * count}, sequence, timestamp_ms{values})",
+            "        except StructError:",
+            "            pass  # out of range: the per-field path raises it in field order",
+        ]
+    for i, (_, vtype) in enumerate(field_layout):
+        v = f"v{i}"
+        lines += [f"    if {v} is None:", f"        p{i} = NULL"]
+        if vtype is ValueType.INT:
+            lines += [
+                f"    elif type({v}) is int or (isinstance({v}, int) and not isinstance({v}, bool)):",
+                f"        p{i} = INT(1, {v})",
+            ]
+        elif vtype is ValueType.DOUBLE:
+            lines += [
+                f"    elif type({v}) is float:",
+                f"        p{i} = DOUBLE(1, {v})",
+                f"    elif isinstance({v}, (int, float)) and not isinstance({v}, bool):",
+                f"        p{i} = DOUBLE(1, float({v}))",
+            ]
+        else:
+            lines += [
+                f"    elif isinstance({v}, str):",
+                f"        b{i} = {v}.encode('utf-8')",
+                f"        p{i} = STRING(1, len(b{i})) + b{i}",
+            ]
+        lines += ["    else:", f"        raise TypeMismatch(E{i} + type({v}).__name__)"]
+    parts = ", ".join(f"p{i}" for i in range(count))
+    lines += [
+        f"    body = JOIN([{parts}])",
+        "    return PREFIX(16 + len(body), sequence, timestamp_ms) + body",
+    ]
+    exec("\n".join(lines), namespace)
+    return namespace["encode"]
+
+
 class StreamEncoder:
     """Encodes value rows into wire frames in the server-assigned field
-    order (the layout echoed in the stream assignment)."""
+    order (the layout echoed in the stream assignment).  The encode
+    function is generated once per layout, at construction."""
 
     def __init__(self, field_layout):
         self.field_layout = tuple(field_layout)
+        self._encode = _compile_encoder(self.field_layout)
 
     def encode(self, sequence: int, timestamp_ms: int, row: dict) -> bytes:
-        parts = []
-        for name, vtype in self.field_layout:
-            value = row.get(name)
-            if value is None:
-                parts.append(b"\x00")
-                continue
-            if vtype is ValueType.INT:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeMismatch(f"field {name!r} wants int, got {type(value).__name__}")
-                parts.append(b"\x01" + wire.I64.pack(value))
-            elif vtype is ValueType.DOUBLE:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeMismatch(f"field {name!r} wants double, got {type(value).__name__}")
-                parts.append(b"\x01" + wire.F64.pack(float(value)))
-            else:
-                if not isinstance(value, str):
-                    raise TypeMismatch(f"field {name!r} wants string, got {type(value).__name__}")
-                encoded = value.encode("utf-8")
-                parts.append(b"\x01" + wire.U32.pack(len(encoded)) + encoded)
-        return wire.pack_frame(sequence, timestamp_ms, b"".join(parts))
+        return self._encode(sequence, timestamp_ms, row)
 
 
 class _SendQueue:
@@ -588,7 +677,7 @@ class SensorHub:
                 if epoch != applied_epoch and now >= changed_at + DEBOUNCE_MS:
                     return  # re-register with the new schema
 
-                due = [pid for pid in active if next_due[pid] <= now]
+                due = {pid for pid in active if next_due[pid] <= now}
                 if due:
                     row = {}
                     expired = []

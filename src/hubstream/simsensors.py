@@ -110,6 +110,7 @@ class _SimPluginBase(SensorPlugin):
     def __init__(self, spec: SimSpec):
         self.spec = spec
         self.sample_count = 0
+        self._coerce = round if spec.value_type is ValueType.INT else float
 
     def describe(self) -> PluginDescriptor:
         sensor = SensorDescriptor(
@@ -120,36 +121,43 @@ class _SimPluginBase(SensorPlugin):
         )
         return PluginDescriptor(plugin_id=self.spec.name, sensor=sensor, transport_label="sim")
 
-    def _coerce(self, value: float):
-        if self.spec.value_type is ValueType.INT:
-            return round(value)
-        return float(value)
-
 
 class _ConstPlugin(_SimPluginBase):
+    def __init__(self, spec: SimSpec):
+        super().__init__(spec)
+        self._value = self._coerce(spec.mean)
+
     def sample(self):
         self.sample_count += 1
-        return self._coerce(self.spec.mean)
+        return self._value
 
 
 class _SinePlugin(_SimPluginBase):
+    def __init__(self, spec: SimSpec):
+        super().__init__(spec)
+        self._wave = (spec.mean, spec.amplitude, spec.step)
+
     def sample(self):
         k = self.sample_count
         self.sample_count += 1
-        return self._coerce(self.spec.mean + self.spec.amplitude * math.sin(k * self.spec.step))
+        mean, amplitude, step = self._wave
+        return self._coerce(mean + amplitude * math.sin(k * step))
 
 
 class _WalkPlugin(_SimPluginBase):
     def __init__(self, spec: SimSpec):
         super().__init__(spec)
-        self._rng = random.Random(spec.seed)
+        self._random = random.Random(spec.seed).random
+        # Random.uniform(-step, step) is -step + (step - -step) * random()
+        self._lo = -spec.step
+        self._span = spec.step - -spec.step
         self._position = spec.mean
 
     def sample(self):
         self.sample_count += 1
-        value = self._coerce(self._position)
-        self._position += self._rng.uniform(-self.spec.step, self.spec.step)
-        return value
+        position = self._position
+        self._position = position + (self._lo + self._span * self._random())
+        return self._coerce(position)
 
 
 class _TickerPlugin(_SimPluginBase):

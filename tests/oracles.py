@@ -10,6 +10,7 @@ import random
 import string
 import struct
 
+from hubstream.errors import TypeMismatch
 from hubstream.sdd import ValueType
 
 # --- reference frame encoder ------------------------------------------------
@@ -121,3 +122,111 @@ def random_row(rng: random.Random, schema, null_rate=0.15):
         None if rng.random() < null_rate else random_value(rng, vtype)
         for _, vtype in schema
     ]
+
+
+# --- reference hub encoder and filters ---------------------------------------
+# Field-by-field copies of the first StreamEncoder.encode and FilterEngine
+# (before both were compiled per layout), kept as the parity oracles.
+
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+_U32 = struct.Struct(">I")
+_HEADER = struct.Struct(">QQ")
+REFERENCE_KEYFRAME_EVERY = 100
+
+
+def reference_stream_encode(layout, sequence, timestamp_ms, row) -> bytes:
+    """One full frame, length prefix included, for a row dict."""
+    parts = []
+    for name, vtype in layout:
+        value = row.get(name)
+        if value is None:
+            parts.append(b"\x00")
+            continue
+        if vtype is ValueType.INT:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeMismatch(f"field {name!r} wants int, got {type(value).__name__}")
+            parts.append(b"\x01" + _I64.pack(value))
+        elif vtype is ValueType.DOUBLE:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeMismatch(f"field {name!r} wants double, got {type(value).__name__}")
+            parts.append(b"\x01" + _F64.pack(float(value)))
+        else:
+            if not isinstance(value, str):
+                raise TypeMismatch(f"field {name!r} wants string, got {type(value).__name__}")
+            encoded = value.encode("utf-8")
+            parts.append(b"\x01" + _U32.pack(len(encoded)) + encoded)
+    body = _HEADER.pack(sequence, timestamp_ms) + b"".join(parts)
+    return _U32.pack(len(body)) + body
+
+
+class ReferenceFilter:
+    """mode is "none", "delta" or "avg"; process(tick, row) as FilterEngine."""
+
+    def __init__(self, mode, layout, threshold=0.0, window=1):
+        self.mode = mode
+        self.threshold = threshold
+        self.window = window
+        self.layout = tuple(layout)
+        self.last_sent = {}
+        self.acc = {name: [] for name, _ in self.layout}
+        self.acc_ticks = 0
+
+    def process(self, tick, row):
+        if self.mode == "none":
+            return row
+        if self.mode == "delta":
+            return self._delta(tick, row)
+        return self._window_avg(row)
+
+    def _delta(self, tick, row):
+        keyframe = tick % REFERENCE_KEYFRAME_EVERY == 0
+        out = {}
+        anything_sent = False
+        for name, vtype in self.layout:
+            value = row.get(name)
+            if value is None:
+                out[name] = None
+                continue
+            if keyframe:
+                out[name] = value
+                self.last_sent[name] = value
+                anything_sent = True
+                continue
+            last = self.last_sent.get(name)
+            if vtype is ValueType.STRING:
+                changed = value != last
+            else:
+                changed = last is None or abs(value - last) > self.threshold
+            if changed:
+                out[name] = value
+                self.last_sent[name] = value
+                anything_sent = True
+            else:
+                out[name] = None
+        if not anything_sent:
+            return None
+        return out
+
+    def _window_avg(self, row):
+        for name, _ in self.layout:
+            value = row.get(name)
+            if value is not None:
+                self.acc[name].append(value)
+        self.acc_ticks += 1
+        if self.acc_ticks < self.window:
+            return None
+        out = {}
+        for name, vtype in self.layout:
+            got = self.acc[name]
+            if not got:
+                out[name] = None
+            elif vtype is ValueType.STRING:
+                out[name] = got[-1]
+            elif vtype is ValueType.INT:
+                out[name] = round(sum(got) / len(got))
+            else:
+                out[name] = sum(got) / len(got)
+        self.acc = {name: [] for name, _ in self.layout}
+        self.acc_ticks = 0
+        return out

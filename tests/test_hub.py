@@ -3,6 +3,9 @@ send queue, and full sessions against a live server (simulated clock for
 the grace and debounce policies, real clock for a streaming smoke run).
 """
 
+import hashlib
+import math
+import random
 import socket
 import threading
 import time
@@ -35,7 +38,14 @@ from hubstream.server import MiddlewareServer
 from hubstream.simsensors import SimKind, SimSpec, make_sim_plugin
 from hubstream.wrapper import Strategy, compile_plan, decode_record
 
-from oracles import random_row, random_schema, reference_frame
+from oracles import (
+    ReferenceFilter,
+    random_row,
+    random_schema,
+    random_value,
+    reference_frame,
+    reference_stream_encode,
+)
 
 
 def sim_plugin(name, period_ms=100, kind=SimKind.CONST, mean=20.0, **kw):
@@ -84,6 +94,33 @@ class TestClocks:
         t0 = clock.now_ms()
         clock.wait_until(t0 + 30, threading.Event())
         assert clock.now_ms() >= t0 + 30
+
+    def test_real_clock_reads_wall_time(self):
+        assert abs(RealClock().now_ms() - time.time() * 1000) < 1000
+
+    def test_wall_clock_stepping_back_never_moves_real_clock_back(self, monkeypatch):
+        clock = RealClock()
+        before = clock.now_ms()
+        wall = time.time
+        monkeypatch.setattr(time, "time", lambda: wall() - 3600)
+        readings = [clock.now_ms() for _ in range(2000)]
+        assert readings[0] >= before
+        assert readings == sorted(readings)
+
+    @pytest.mark.parametrize("step_s", [3600, -3600])
+    def test_wait_until_ignores_a_wall_clock_step(self, monkeypatch, step_s):
+        clock = RealClock()
+        target = clock.now_ms() + 60
+        wall = time.time
+        monkeypatch.setattr(time, "time", lambda: wall() + step_s)
+        wake = threading.Event()
+        started = time.monotonic()
+        waiter = threading.Thread(target=clock.wait_until, args=(target, wake), daemon=True)
+        waiter.start()
+        waiter.join(timeout=2.0)
+        wake.set()  # a clock still waiting on the stepped wall time is released
+        waiter.join()
+        assert 0.055 <= time.monotonic() - started < 2.0
 
 
 class TestPluginRegistry:
@@ -198,9 +235,30 @@ class TestDeltaFilter:
         # still within threshold of the last SENT value, not of the gap
         assert engine.process(2, {"x": 20.2}) is None
 
+    def test_nan_keyframe_does_not_suppress_later_values(self):
+        engine = FilterEngine(FilterPolicy.parse("delta:0.5"), DOUBLE_FIELD)
+        outs = [engine.process(t, {"x": v}) for t, v in enumerate([math.nan, 5.0, 9.0, 20.0, 1.0])]
+        assert math.isnan(outs[0]["x"])
+        assert outs[1:] == [{"x": 5.0}, {"x": 9.0}, {"x": 20.0}, {"x": 1.0}]
+
+    def test_nan_after_a_number_is_sent_and_nan_after_nan_suppressed(self):
+        engine = FilterEngine(FilterPolicy.parse("delta:0.5"), DOUBLE_FIELD)
+        assert engine.process(0, {"x": 5.0}) == {"x": 5.0}
+        out = engine.process(1, {"x": math.nan})
+        assert out is not None and math.isnan(out["x"])
+        assert engine.process(2, {"x": math.nan}) is None
+        assert engine.process(3, {"x": 5.2}) == {"x": 5.2}
+        assert engine.process(4, {"x": 5.3}) is None
+
+    def test_repeated_infinity_suppressed_sign_flip_sent(self):
+        engine = FilterEngine(FilterPolicy.parse("delta:0.5"), DOUBLE_FIELD)
+        engine.process(0, {"x": math.inf})
+        assert engine.process(1, {"x": math.inf}) is None
+        assert engine.process(2, {"x": -math.inf}) == {"x": -math.inf}
+
     @given(
         st.lists(
-            st.floats(min_value=-100, max_value=100, allow_nan=False),
+            st.one_of(st.floats(min_value=-100, max_value=100), st.just(math.nan)),
             min_size=1,
             max_size=300,
         )
@@ -215,7 +273,9 @@ class TestDeltaFilter:
             if out is not None and out["x"] is not None:
                 reconstructed = out["x"]
             assert reconstructed is not None
-            assert abs(value - reconstructed) <= threshold
+            assert math.isnan(reconstructed) == math.isnan(value)
+            if not math.isnan(value):
+                assert abs(value - reconstructed) <= threshold
 
 
 class TestWindowAvgFilter:
@@ -326,6 +386,223 @@ class TestStreamEncoder:
                 assert record.sequence == 3 and record.timestamp_ms == 999
                 for (name, _), sent, got in zip(schema, row, record.values):
                     assert got == (name, sent)
+
+
+def _drift_row(rng, layout, previous):
+    """A row that often repeats or barely moves the previous value, so the
+    DELTA filter both sends and suppresses."""
+    row = {}
+    for name, vtype in layout:
+        roll = rng.random()
+        last = previous.get(name)
+        if roll < 0.15:
+            continue  # missing key
+        if roll < 0.3:
+            row[name] = None
+        elif last is not None and roll < 0.55:
+            row[name] = last
+        elif last is not None and vtype is not ValueType.STRING and roll < 0.8:
+            step = rng.choice([0.2, 0.5, 0.7, 3]) * rng.choice([-1, 1])
+            row[name] = round(last + step) if vtype is ValueType.INT else last + step
+        else:
+            row[name] = random_value(rng, vtype)
+        if row[name] is not None:
+            previous[name] = row[name]
+    return row
+
+
+class TestFilterParity:
+    """The table-driven filters against a field-by-field copy of the
+    original FilterEngine, on rows without NaN (where both must agree)."""
+
+    @pytest.mark.parametrize(
+        "policy,mode,kw",
+        [
+            ("none", "none", {}),
+            ("delta:0.5", "delta", {"threshold": 0.5}),
+            ("delta:0", "delta", {"threshold": 0.0}),
+            ("delta:2", "delta", {"threshold": 2.0}),
+            ("avg:1", "avg", {"window": 1}),
+            ("avg:4", "avg", {"window": 4}),
+        ],
+    )
+    def test_matches_the_field_by_field_filter(self, policy, mode, kw):
+        rng = random.Random(f"filter-{policy}")
+        for _ in range(40):
+            layout = tuple(random_schema(rng, max_fields=8))
+            engine = FilterEngine(FilterPolicy.parse(policy), layout)
+            oracle = ReferenceFilter(mode, layout, **kw)
+            previous = {}
+            for tick in range(rng.choice([5, 150, 250])):
+                row = _drift_row(rng, layout, previous)
+                assert repr(engine.process(tick, dict(row))) == repr(oracle.process(tick, dict(row)))
+
+
+_MISSING = object()
+
+
+def _value_strategy(vtype):
+    odd = st.one_of(st.booleans(), st.text(max_size=3), st.just(b"x"), st.just([1]))
+    if vtype is ValueType.INT:
+        good = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**70), 2**70))
+        odd = st.one_of(odd, st.floats())
+    elif vtype is ValueType.DOUBLE:
+        good = st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.just(10**400))
+    else:
+        good = st.one_of(
+            st.text(),
+            st.text(st.characters(min_codepoint=0x80)),
+            st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1),
+        )
+        odd = st.one_of(odd, st.integers(), st.floats())
+    return st.one_of(st.none(), st.just(_MISSING), good, odd)
+
+
+def _clean_value_strategy(vtype):
+    if vtype is ValueType.INT:
+        return st.integers(-(2**63), 2**63 - 1)
+    if vtype is ValueType.DOUBLE:
+        return st.floats()
+    return st.text()
+
+
+@st.composite
+def layouts_and_rows(draw):
+    fixed_only = draw(st.booleans())
+    kinds = [ValueType.INT, ValueType.DOUBLE] if fixed_only else list(ValueType)
+    types = draw(st.lists(st.sampled_from(kinds), max_size=10))
+    layout = tuple((f"f{i}", vtype) for i, vtype in enumerate(types))
+    values = _clean_value_strategy if draw(st.booleans()) else _value_strategy
+    row = {}
+    for name, vtype in layout:
+        value = draw(values(vtype))
+        if value is not _MISSING:
+            row[name] = value
+    return layout, row
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except Exception as exc:  # the oracle and the encoder must fail alike
+        return ("raised", type(exc), str(exc))
+
+
+SEQUENCES = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
+
+
+class TestEncoderParity:
+    """The generated encoder against a field-by-field copy of the original
+    loop encoder: identical bytes, or the same exception and message."""
+
+    @given(layouts_and_rows(), SEQUENCES, SEQUENCES)
+    @settings(max_examples=600, deadline=None)
+    def test_same_bytes_or_same_error(self, layout_row, sequence, timestamp_ms):
+        layout, row = layout_row
+        encoder = StreamEncoder(layout)
+        assert _outcome(lambda: encoder.encode(sequence, timestamp_ms, row)) == _outcome(
+            lambda: reference_stream_encode(layout, sequence, timestamp_ms, row)
+        )
+
+    def test_all_present_fixed_width_row(self):
+        layout = (("a", ValueType.INT), ("b", ValueType.DOUBLE), ("c", ValueType.INT))
+        row = {"a": -(2**63), "b": math.nan, "c": 2**63 - 1}
+        assert StreamEncoder(layout).encode(7, 8, row) == reference_stream_encode(layout, 7, 8, row)
+
+    def test_out_of_range_field_reported_before_bad_sequence(self):
+        layout = (("a", ValueType.DOUBLE), ("b", ValueType.INT))
+        row = {"a": 1.0, "b": 2**63}
+        assert _outcome(lambda: StreamEncoder(layout).encode(-1, 0, row)) == _outcome(
+            lambda: reference_stream_encode(layout, -1, 0, row)
+        )
+
+    def test_type_mismatch_names_the_first_bad_field(self):
+        layout = (("a", ValueType.INT), ("b", ValueType.DOUBLE), ("c", ValueType.STRING))
+        with pytest.raises(TypeMismatch, match=r"^field 'b' wants double, got str$"):
+            StreamEncoder(layout).encode(0, 0, {"a": 1, "b": "x", "c": 5})
+
+    def test_hostile_field_names_stay_data(self, monkeypatch, tmp_path):
+        import builtins
+
+        from hubstream import hub as hub_module
+
+        marker = tmp_path / "ran"
+        names = [
+            "'); import os; ('",
+            f"'); open({str(marker)!r}, 'w'); ('",
+            'quote"d',
+            "new\nline",
+            "__import__('os').system('true')",
+            "K0",
+            "row",
+        ]
+        sources = []
+
+        def recording_exec(source, namespace):
+            sources.append(source)
+            return builtins.exec(source, namespace)
+
+        monkeypatch.setattr(hub_module, "exec", recording_exec, raising=False)
+        for vtypes in ([ValueType.INT] * 7, [ValueType.DOUBLE, ValueType.STRING] * 4):
+            layout = tuple(zip(names, vtypes))
+            encoder = StreamEncoder(layout)
+            row = {name: (3 if vtype is ValueType.INT else 2.5 if vtype is ValueType.DOUBLE else name)
+                   for name, vtype in layout}
+            assert encoder.encode(1, 2, row) == reference_stream_encode(layout, 1, 2, row)
+            for name, vtype in layout:
+                bad = dict(row, **{name: object()})
+                assert _outcome(lambda: encoder.encode(1, 2, bad)) == _outcome(
+                    lambda: reference_stream_encode(layout, 1, 2, bad)
+                )
+        assert len(sources) == 2
+        for source in sources:
+            for name in names[:5]:
+                assert name not in source and repr(name) not in source
+        assert not marker.exists()
+
+
+# sha256 over the frames of a sample -> filter -> encode pipeline on
+# simulated sensors, taken from the original field-by-field hub code.
+PIPELINE_DIGESTS = {
+    "none": "16386d6d4ee3c015d2bad70257a96f7c4ca344906d4a570d6d0fd945ceb510e3",
+    "delta:0.5": "3d9fd32d3ee121c1c753e9e294b94b61a19b5dcd85ba66a6e5b334c0c7ce6e2f",
+    "avg:3": "994a3f05877fb24ec209b33be607f0c29524d8baffe9412ebb873a2ba70f9463",
+}
+
+
+def pipeline_digest(policy: str, ticks: int = 3000) -> str:
+    specs = [
+        SimSpec(kind=SimKind.RANDOM_WALK, name="w", value_type=ValueType.DOUBLE,
+                period_ms=100, seed=3, mean=10.0, step=0.6),
+        SimSpec(kind=SimKind.RANDOM_WALK, name="n", value_type=ValueType.INT,
+                period_ms=200, seed=4, mean=-7.0, step=1.5),
+        SimSpec(kind=SimKind.SINE, name="s", value_type=ValueType.DOUBLE,
+                period_ms=100, mean=1.0, amplitude=4.0, step=0.05),
+        SimSpec(kind=SimKind.STRING_TICKER, name="t", value_type=ValueType.STRING,
+                period_ms=700, prefix="p\u00e9"),
+        SimSpec(kind=SimKind.CONST, name="c", value_type=ValueType.INT, period_ms=100, mean=4.4),
+    ]
+    plugins = [make_sim_plugin(spec) for spec in specs]
+    layout = tuple((spec.name, spec.value_type) for spec in specs)
+    engine = FilterEngine(FilterPolicy.parse(policy), layout)
+    encoder = StreamEncoder(layout)
+    digest = hashlib.sha256()
+    sequence = 0
+    for tick in range(ticks):
+        now = tick * 100
+        row = {spec.name: plugin.sample() if now % spec.period_ms == 0 else None
+               for spec, plugin in zip(specs, plugins)}
+        out = engine.process(tick, row)
+        if out is not None:
+            digest.update(encoder.encode(sequence, 1_700_000_000_000 + now, out))
+            sequence += 1
+    return digest.hexdigest()
+
+
+class TestPipelineFrozen:
+    @pytest.mark.parametrize("policy", sorted(PIPELINE_DIGESTS))
+    def test_frames_identical_to_the_original_hub_code(self, policy):
+        assert pipeline_digest(policy) == PIPELINE_DIGESTS[policy]
 
 
 class TestSendQueue:

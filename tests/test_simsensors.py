@@ -1,6 +1,8 @@
 """Simulated sensor kinds, seed determinism, dropout schedules, manifest
 parsing, and bundle packing."""
 
+import hashlib
+
 import pytest
 
 from hubstream.errors import BadSpec
@@ -82,6 +84,60 @@ class TestDeterminism:
         seq_a = [a.sample() for _ in range(20)]
         seq_b = [b.sample() for _ in range(20)]
         assert seq_a != seq_b
+
+
+# sha256 over the first 5,000 samples of each kind (float.hex of floats,
+# repr of everything else), taken from the original plugin code.
+FROZEN_SAMPLES = {
+    "const_double": (
+        dict(kind=SimKind.CONST, vtype=ValueType.DOUBLE, mean=20.6),
+        "84d93a54540eb813a672a0e82305c36f7803146d420cc9977ea9a0a9a3c75d84",
+    ),
+    "const_int": (
+        dict(kind=SimKind.CONST, vtype=ValueType.INT, mean=20.6),
+        "966ad93a2df88f2a784e1d82b32f4f7d2df11e239c2df2104a00774a2a378195",
+    ),
+    "sine_double": (
+        dict(kind=SimKind.SINE, vtype=ValueType.DOUBLE, mean=12.25, amplitude=3.5, step=0.37),
+        "7b1196fbe412b4a5f3a7ee606106d91ac31b56fc6a0796edf9ffa958365751af",
+    ),
+    "sine_int": (
+        dict(kind=SimKind.SINE, vtype=ValueType.INT, mean=-40.5, amplitude=9.0, step=0.11),
+        "6bd9a83d1d93d1e858554e4860301f520027d30dcf078c52878a560654ce8222",
+    ),
+    "walk_double": (
+        dict(kind=SimKind.RANDOM_WALK, vtype=ValueType.DOUBLE, seed=7, mean=1013.0, step=0.5),
+        "da35a658ff5925837d871a525de3c406ff1b3d85b978a029d8b50ef7a0d49af5",
+    ),
+    "walk_int": (
+        dict(kind=SimKind.RANDOM_WALK, vtype=ValueType.INT, seed=11, mean=-3.0, step=2.0),
+        "3e9df780fa0a5656b1ee03fa0f9711eb92adf4de72a12edde2970a65cfd1ee92",
+    ),
+    "ticker": (
+        dict(kind=SimKind.STRING_TICKER, vtype=ValueType.STRING, prefix="beat"),
+        "a6fe9010315bef18b2a4e93c4215ed6bc6f73a723e1d93dc70f3f953416ce45a",
+    ),
+    "flaky_walk": (
+        dict(kind=SimKind.FLAKY, inner=SimKind.RANDOM_WALK, vtype=ValueType.DOUBLE, seed=5,
+             mean=300.0, step=1.5, dropout_windows=((5000, 40000), (100000, 100100))),
+        "362f2babac24ee36de0718a5ebe3de80b1f7eda9d3fe5a89dbb2f4c574ec6be1",
+    ),
+}
+
+
+class TestFrozenSamples:
+    @pytest.mark.parametrize("case", sorted(FROZEN_SAMPLES))
+    def test_first_5000_samples_unchanged(self, case):
+        params, expected = FROZEN_SAMPLES[case]
+        clock = SimClock()
+        plugin = make_sim_plugin(spec(name="s", **params), clock)
+        digest = hashlib.sha256()
+        for _ in range(5000):
+            value = plugin.sample()
+            token = value.hex() if isinstance(value, float) else repr(value)
+            digest.update(token.encode() + b"\n")
+            clock.advance(100)
+        assert digest.hexdigest() == expected
 
 
 class TestFlaky:
