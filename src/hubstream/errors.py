@@ -71,6 +71,10 @@ class TrailingBytes(HubStreamError):
     """Frame carries bytes beyond the last declared field."""
 
 
+class InvalidText(HubStreamError):
+    """A STRING field's bytes are not valid UTF-8."""
+
+
 class SequenceRegression(HubStreamError):
     """Sequence number fell behind the reordering window."""
 
@@ -87,10 +91,6 @@ class NameCollision(HubStreamError):
 
 class NoFreePort(HubStreamError):
     """Data port range exhausted."""
-
-
-class BadToken(HubStreamError):
-    """Data connection presented a token that does not match the session."""
 
 
 class UnknownHub(HubStreamError):

@@ -17,7 +17,9 @@ Fault posture, mirroring the null-tolerance policy:
 * Plugin add/remove while a session is live triggers re-registration,
   debounced over a 2 s window so bursts of churn coalesce into one.
 * An unreachable server is retried with capped exponential backoff
-  (base 500 ms, cap 30 s).
+  (base 500 ms, cap 30 s).  So is a stream assignment whose field layout
+  is not the schema the hub registered (same names, types and order):
+  the hub streams nothing on it and re-registers after the backoff.
 
 All time flows through an injectable Clock so tests can drive grace and
 debounce behavior on a simulated timeline.
@@ -566,8 +568,14 @@ class SensorHub:
                 self._backoff(attempt)
                 attempt += 1
                 continue
-            attempt = 0
             self._ever_registered = True
+            if assign.field_layout != tuple((s.name, s.value_type) for s in doc.sensors):
+                # not the schema we registered: streaming it would send
+                # fields we do not have as nulls, so refuse it and retry
+                self._backoff(attempt)
+                attempt += 1
+                continue
+            attempt = 0
             self.registration_count += 1
             try:
                 data_sock = socket.create_connection(

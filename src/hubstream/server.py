@@ -7,34 +7,80 @@ ingests decoded frames, and answers status queries.  Benchmarks and most
 tests drive the core directly with no sockets involved.
 
 MiddlewareServer is the network shell around a core: a control listener
-that speaks the length-prefixed message protocol, and one data listener
-per active session that checks the session token and feeds frames to the
-core.  Registration steps run in this order:
+that speaks the length-prefixed message protocol (one thread per control
+connection), and one data-plane thread that serves every data port.
+Registration steps run in this order:
 
     parse -> fingerprint -> plan lookup/compile -> generate definition
           -> reserve port -> connection request -> instantiate
-          -> initialize -> start -> open data listener -> reply
+          -> initialize -> start -> open record log -> bind data port
+          -> reply
 
-and the elapsed wall time is recorded on the session as
-configuration_time_ms.  A failure at any step rolls back everything the
-attempt created: no session entry, no live definition, no reserved port,
-no running instance.
+and the elapsed wall time of the core's steps, through opening the record
+log, is recorded on the session as configuration_time_ms.  A failure at
+any step rolls back everything the attempt created: no session entry, no
+live definition, no reserved port, no running instance, no open log or
+socket.  A data port that cannot be bound is refused as NoFreePort.
+
+The data plane is one non-blocking ``selectors`` loop that owns every
+assigned listening socket and every hub connection, so the server's
+thread count does not grow with the number of hubs.  Registration binds
+the data port in the control thread and hands the socket to the loop over
+a wakeup socketpair before ASSIGN is sent.  As in the paper, each hub has
+its own port and each port serves one connection at a time: a second
+connection waits in the listen backlog until the first one closes, and a
+hub that reconnects is served again.  A connection opens with the session
+token; after that every read takes up to RECV_BYTES, every complete
+length-prefixed frame in the buffer is split out and ingested as one
+batch, and a partial frame waits for the next read.
+
+A wrong token, or a length prefix below the frame header or above
+wire.MAX_MESSAGE, closes the connection (counted on the session as
+bad_tokens or bad_lengths) and the port goes back to listening.  A frame
+that does not decode is counted as malformed and skipped.  If ingesting a
+read raises anything else (the record log cannot be written, say), that
+one connection is dropped and counted as batches_failed, and the loop goes
+on serving every other port.  An accept that fails for want of a file
+descriptor leaves that listener unwatched for ACCEPT_BACKOFF_S rather
+than spinning on it.
+
+Tearing a session down runs on the loop thread, between two rounds of
+events, and returns only once the loop has closed the session's sockets
+and can never touch the session again.  Once the loop has stopped, a new
+data port is refused as NoFreePort and stop() closes the ports left.
+
+Ingest publishes a batch in this order.  For each record: decode and
+dedup (records_decoded moves), then the window buffer.  Then the log
+entries of every stored record go to the record log in one write and one
+flush, and only after that flush does frames_received move.  So a reader
+that sees frames_received cover a frame finds that frame's record in the
+log.
+
+Durability: the record log is flushed to the operating system once per
+batch and never fsynced.  A crash of the server process loses at most the
+batch being ingested (the frames of one read, up to RECV_BYTES); a crash
+of the machine can lose whatever the operating system had not yet
+written.
 
 Each accepted record is appended to a per-hub record log at
 ``<store>/data/<hub_id>.log``: an 8-byte big-endian arrival timestamp
 (ms), then the frame exactly as received (length prefix included), so a
-log replays through the same decode path that ingested it.
+log replays through the same decode path that ingested it.  Every record
+of one batch carries the batch's arrival time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import logging
 import os
 import secrets
+import selectors
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -42,9 +88,9 @@ from typing import Callable, Optional
 
 from . import wire
 from .errors import (
-    BadToken,
     FrameTooShort,
     HubStreamError,
+    InvalidText,
     MalformedDocument,
     NameCollision,
     NoFreePort,
@@ -64,6 +110,8 @@ from .wrapper import (
     compile_plan,
     instantiate,
 )
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "AssignConfig",
@@ -89,6 +137,14 @@ STATUS_WINDOW = 2
 
 # Per-session in-memory record buffer feeding window queries.
 WINDOW_BUFFER_LEN = 1024
+
+# Most bytes the data plane takes from one connection per read; one read
+# is one ingest batch.
+RECV_BYTES = 256 * 1024
+
+# How long a data port's listener goes unwatched after an accept fails for
+# want of a file descriptor.
+ACCEPT_BACKOFF_S = 0.1
 
 
 class PortAllocator:
@@ -131,10 +187,14 @@ class RecordLog:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "ab")
 
-    def append(self, arrival_ms: int, frame_body: bytes) -> None:
-        self._fh.write(
-            self.ARRIVAL.pack(arrival_ms) + wire.U32.pack(len(frame_body)) + frame_body
-        )
+    def append(self, arrival_ms: int, *frame_bodies: bytes) -> None:
+        """Append one entry per frame body, all stamped arrival_ms, in one
+        write and one flush."""
+        arrival = self.ARRIVAL.pack(arrival_ms)
+        pack_length = wire.U32.pack
+        entries = [b""]  # so the join puts an arrival stamp before every entry
+        entries += [pack_length(len(body)) + body for body in frame_bodies]
+        self._fh.write(arrival.join(entries))
         self._fh.flush()
 
     def close(self) -> None:
@@ -187,8 +247,11 @@ class RegistrationSession:
     configuration_time_ms: float = 0.0
     frames_received: int = 0
     frames_malformed: int = 0
+    bad_tokens: int = 0  # data connections that opened with a wrong token
+    bad_lengths: int = 0  # data connections dropped for an impossible frame length
+    batches_failed: int = 0  # data connections dropped because ingesting a read raised
     log: Optional[RecordLog] = None
-    window_buffer: list = field(default_factory=list)
+    window_buffer: deque = field(default_factory=lambda: deque(maxlen=WINDOW_BUFFER_LEN))
 
     @property
     def records_decoded(self) -> int:
@@ -225,7 +288,7 @@ class MiddlewareCore:
         self.sessions: dict[str, RegistrationSession] = {}
         self._lock = threading.Lock()
         # shell hook: called with the session before its instance stops,
-        # so a network wrapper can close and join the data listener first
+        # so a network wrapper can close the data port first
         self.on_teardown: Optional[Callable[[RegistrationSession], None]] = None
 
     # --- registration ------------------------------------------------------
@@ -338,30 +401,52 @@ class MiddlewareCore:
 
     # --- ingest --------------------------------------------------------------
 
+    def ingest_batch(
+        self, session: RegistrationSession, frame_bodies, arrival_ms: int | None = None
+    ) -> int:
+        """Feed received frame bodies, in arrival order, through the
+        session's wrapper; returns how many were stored.
+
+        Each record is decoded and deduplicated, then goes to the window
+        buffer.  Then the stored frames go to the record log in one write
+        and one flush, and only then does frames_received move.  Malformed
+        frames and sequence regressions are counted and skipped; duplicates
+        are dropped by the wrapper.  The records are not collected: the
+        window buffer holds the newest, and keeping a whole batch of them
+        alive costs more in garbage collection than the rest of the loop.
+        """
+        on_stream_element = session.instance.on_stream_element
+        remember = session.window_buffer.append
+        stored = []
+        malformed = 0
+        for body in frame_bodies:
+            try:
+                record = on_stream_element(body)
+            except (
+                FrameTooShort, TypeTagMismatch, TrailingBytes, InvalidText, SequenceRegression
+            ):
+                malformed += 1
+                continue
+            if record is not None:
+                remember(record)
+                stored.append(body)
+        if stored:
+            if arrival_ms is None:
+                arrival_ms = int(time.time() * 1000)
+            session.log.append(arrival_ms, *stored)
+        session.frames_malformed += malformed
+        session.frames_received += len(frame_bodies)
+        return len(stored)
+
     def ingest_frame(
         self, session: RegistrationSession, frame_body: bytes, arrival_ms: int | None = None
     ) -> Optional[StreamRecord]:
-        """Feed one received frame body through the session's wrapper.
-
-        Malformed frames and sequence regressions are counted and skipped;
-        duplicates are dropped by the wrapper.  Returns the stored record,
-        or None when nothing was stored.
-        """
-        session.frames_received += 1
-        try:
-            record = session.instance.on_stream_element(frame_body)
-        except (FrameTooShort, TypeTagMismatch, TrailingBytes, SequenceRegression):
-            session.frames_malformed += 1
-            return None
-        if record is None:
-            return None
-        if arrival_ms is None:
-            arrival_ms = int(time.time() * 1000)
-        session.log.append(arrival_ms, frame_body)
-        session.window_buffer.append(record)
-        if len(session.window_buffer) > WINDOW_BUFFER_LEN:
-            del session.window_buffer[: -WINDOW_BUFFER_LEN]
-        return record
+        """Ingest one frame as a batch of one, so it is in the log when
+        this returns.  Returns the stored record, or None when nothing was
+        stored."""
+        if self.ingest_batch(session, (frame_body,), arrival_ms):
+            return session.window_buffer[-1]
+        return None
 
     # --- status ----------------------------------------------------------------
 
@@ -384,8 +469,9 @@ class MiddlewareCore:
             w = csv.writer(out)
             names = [f.name for f in session.instance.plan.field_layout]
             w.writerow(["hub_id", "sequence", "timestamp_ms", *names])
-            if session.window_buffer:
-                newest = max(session.window_buffer, key=lambda r: r.sequence)
+            records = list(session.window_buffer)  # the loop appends while we read
+            if records:
+                newest = max(records, key=lambda r: r.sequence)
                 w.writerow(
                     [
                         session.hub_id,
@@ -399,7 +485,7 @@ class MiddlewareCore:
             vsd = self.catalog.live(hub_id)
             if vsd is None:
                 raise UnknownHub(f"no live definition for hub {hub_id!r}")
-            result = eval_window_query(vsd.query, session.window_buffer)
+            result = eval_window_query(vsd.query, list(session.window_buffer))
             out = io.StringIO()
             w = csv.writer(out)
             w.writerow(["field", "op", "value"])
@@ -409,80 +495,260 @@ class MiddlewareCore:
         raise MalformedDocument(f"unknown status kind {kind}")
 
 
+
+
 # --- TCP shell ---------------------------------------------------------------
 
-class _DataListener:
-    """One session's data socket: accepts connections on the assigned port,
-    verifies the token, and pumps frames into the core.  Connections are
-    served one at a time (a hub that reconnects is served again)."""
+class _Port:
+    """One session's data port as the data plane sees it: the listening
+    socket, the connection being served (None while listening), the bytes
+    of that connection not yet split into frames, and, while accepting is
+    backed off, when to watch the listener again."""
 
-    def __init__(self, core: MiddlewareCore, session: RegistrationSession, host: str):
-        self.core = core
+    __slots__ = ("session", "listener", "conn", "tail", "token_ok", "resume_at")
+
+    def __init__(self, session: RegistrationSession, listener: socket.socket):
         self.session = session
-        self.sock = socket.create_server((host, session.data_port))
-        self.sock.settimeout(0.25)
-        self._closing = threading.Event()
-        self._conn_lock = threading.Lock()
-        self._conn: Optional[socket.socket] = None
-        self.bad_tokens = 0
-        self.thread = threading.Thread(
-            target=self._run, name=f"data-{session.hub_id}", daemon=True
-        )
+        self.listener = listener
+        self.conn: Optional[socket.socket] = None
+        self.tail = bytearray()
+        self.token_ok = False
+        self.resume_at: Optional[float] = None
+
+
+class _DataPlane:
+    """One thread and one selector serving every data port.
+
+    Only the loop thread touches the selector and the ports.  Another
+    thread hands work over with _call: the request is queued, a byte on
+    the wakeup socketpair wakes the loop, and the loop runs queued requests
+    after each round of events, so no request lands in the middle of one.
+    Requests are taken only while the loop runs, from start() until the
+    loop exits; after that, add refuses and drop has nothing left to do.
+    """
+
+    def __init__(self, core: MiddlewareCore):
+        self._core = core
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, (self._drain_wakeups, None))
+        self._ports: dict[int, _Port] = {}  # by data port number
+        self._paused: deque = deque()  # ports whose accept is backed off, oldest first
+        self._requests: deque = deque()
+        self._requests_lock = threading.Lock()
+        self._open = False  # requests are taken (guarded by _requests_lock)
+        self._serving = True
+        self._thread = threading.Thread(target=self._run, name="data-plane", daemon=True)
+
+    # --- called from other threads ---------------------------------------------
 
     def start(self) -> None:
-        self.thread.start()
+        self._open = True
+        self._thread.start()
+
+    def add(self, session: RegistrationSession, listener: socket.socket) -> bool:
+        """Serve a bound, listening socket for the session from now on.
+        Returns False, having closed the socket, when the loop has stopped."""
+        if self._call(self._add, session, listener, wait=False):
+            return True
+        listener.close()
+        return False
+
+    def drop(self, session: RegistrationSession) -> None:
+        """Close the session's data port; returns once the loop can no
+        longer touch the session."""
+        self._call(self._drop, session.data_port, wait=True)
+
+    def stop(self) -> None:
+        if self._call(self._halt, wait=True):
+            self._thread.join()
+        for data_port in list(self._ports):
+            self._drop(data_port)
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def _call(self, fn, *args, wait: bool) -> bool:
+        """Queue fn for the loop thread (and wait for it to run, if asked).
+        Returns False, without running fn, when the loop is not running."""
+        done = threading.Event() if wait else None
+        with self._requests_lock:
+            if not self._open:
+                return False
+            self._requests.append((fn, args, done))
+            try:
+                self._wake_w.send(b"\0")
+            except BlockingIOError:
+                pass  # the socketpair is full of wakeups the loop has yet to read
+        if done is not None:
+            done.wait()
+        return True
+
+    # --- the loop thread ---------------------------------------------------------
 
     def _run(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self.sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._conn_lock:
-                self._conn = conn
-            with conn:
-                try:
-                    self._serve(conn)
-                except (wire.ConnectionClosed, OSError):
-                    continue
-                except BadToken:
-                    self.bad_tokens += 1
-                    continue
-                finally:
-                    with self._conn_lock:
-                        self._conn = None
-
-    def _serve(self, conn: socket.socket) -> None:
-        conn.settimeout(None)
-        token = wire.recv_exact(conn, wire.TOKEN_LEN)
-        if token != self.session.token:
-            raise BadToken("data connection presented a wrong token")
-        while not self._closing.is_set():
-            body = wire.read_frame(conn)
-            self.core.ingest_frame(self.session, body)
-
-    def close(self) -> None:
-        self._closing.set()
         try:
-            self.sock.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            conn = self._conn
-        if conn is not None:
-            # wake a thread blocked mid-recv on a live hub connection
+            while self._serving:
+                timeout = None
+                if self._paused:
+                    timeout = max(0.0, self._paused[0].resume_at - time.monotonic())
+                for key, _ in self._selector.select(timeout):
+                    handler, port = key.data
+                    handler(port)
+                if self._paused:
+                    self._resume_accepts()
+                if self._requests:
+                    self._serve_requests()
+        finally:
+            with self._requests_lock:
+                self._open = False
+            self._serve_requests()
+
+    def _serve_requests(self) -> None:
+        while True:
+            with self._requests_lock:
+                if not self._requests:
+                    return
+                fn, args, done = self._requests.popleft()
             try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self.thread.is_alive() and threading.current_thread() is not self.thread:
-            self.thread.join(timeout=5)
+                fn(*args)
+            finally:
+                if done is not None:
+                    done.set()
+
+    def _drain_wakeups(self, _) -> None:
+        try:
+            self._wake_r.recv(4096)
+        except BlockingIOError:
+            pass
+
+    def _halt(self) -> None:
+        self._serving = False
+
+    def _add(self, session: RegistrationSession, listener: socket.socket) -> None:
+        listener.setblocking(False)
+        port = _Port(session, listener)
+        self._ports[session.data_port] = port
+        self._selector.register(listener, selectors.EVENT_READ, (self._accept, port))
+
+    def _drop(self, data_port: int) -> None:
+        port = self._ports.pop(data_port, None)
+        if port is None:
+            return
+        if port.conn is not None:
+            self._selector.unregister(port.conn)
+            port.conn.close()
+        elif port.resume_at is None:
+            self._selector.unregister(port.listener)
+        port.listener.close()
+
+    def _accept(self, port: _Port) -> None:
+        try:
+            conn, _ = port.listener.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return  # the connection went away before we took it
+        except OSError:
+            # out of descriptors, most likely: the listener would stay
+            # readable and the loop would spin on it, so stop watching it
+            # for a while; the connection waits in the backlog meanwhile
+            self._selector.unregister(port.listener)
+            port.resume_at = time.monotonic() + ACCEPT_BACKOFF_S
+            self._paused.append(port)
+            return
+        conn.setblocking(False)
+        # one connection at a time: the next one waits in the backlog
+        self._selector.unregister(port.listener)
+        port.conn = conn
+        self._selector.register(conn, selectors.EVENT_READ, (self._read, port))
+
+    def _resume_accepts(self) -> None:
+        now = time.monotonic()
+        while self._paused and self._paused[0].resume_at <= now:
+            port = self._paused.popleft()
+            port.resume_at = None
+            if self._ports.get(port.session.data_port) is port:  # not dropped meanwhile
+                self._selector.register(
+                    port.listener, selectors.EVENT_READ, (self._accept, port)
+                )
+
+    def _hang_up(self, port: _Port) -> None:
+        self._selector.unregister(port.conn)
+        port.conn.close()
+        port.conn = None
+        port.tail.clear()
+        port.token_ok = False
+        self._selector.register(port.listener, selectors.EVENT_READ, (self._accept, port))
+
+    def _read(self, port: _Port) -> None:
+        try:
+            chunk = port.conn.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # reset by the peer: same as a close
+        if not chunk:
+            self._hang_up(port)
+            return
+        # A partial frame grows in place, so a large frame that arrives over
+        # many reads is copied once, not once per read.
+        tail = port.tail
+        if tail:
+            tail += chunk
+            data = tail
+        else:
+            data = chunk
+        session = port.session
+        pos = 0
+        if not port.token_ok:
+            if len(data) < wire.TOKEN_LEN:
+                if data is chunk:
+                    tail += chunk
+                return
+            if data[: wire.TOKEN_LEN] != session.token:
+                session.bad_tokens += 1
+                self._hang_up(port)
+                return
+            port.token_ok = True
+            pos = wire.TOKEN_LEN
+        bodies = []
+        end = len(data)
+        unpack_length = wire.U32.unpack_from
+        shortest, longest = wire.FRAME_HEADER.size, wire.MAX_MESSAGE
+        bad_length = False
+        while end - pos >= 4:
+            (length,) = unpack_length(data, pos)
+            if not shortest <= length <= longest:
+                bad_length = True
+                break
+            stop = pos + 4 + length
+            if stop > end:
+                break
+            bodies.append(data[pos + 4 : stop])
+            pos = stop
+        if data is tail:
+            del tail[:pos]
+        else:
+            tail += chunk[pos:]
+        if bodies:
+            try:
+                self._core.ingest_batch(session, bodies)
+            except Exception:
+                # the record log could not be written, or a fault no typed
+                # decode error covers: drop this connection, not the loop
+                # that serves every other hub
+                _log.exception("ingest for hub %r failed; dropping its connection", session.hub_id)
+                session.batches_failed += 1
+                self._hang_up(port)
+                return
+        if bad_length:
+            session.bad_lengths += 1
+            self._hang_up(port)
 
 
 class MiddlewareServer:
-    """Control and data listeners around a MiddlewareCore."""
+    """Control listener and data plane around a MiddlewareCore."""
 
     def __init__(
         self,
@@ -493,10 +759,9 @@ class MiddlewareServer:
         port_range: tuple[int, int] = DEFAULT_DATA_PORTS,
     ):
         self.core = MiddlewareCore(store_dir, strategy, port_range)
-        self.core.on_teardown = self._close_listener
         self.host = host
-        self._listeners: dict[str, _DataListener] = {}
-        self._listener_lock = threading.Lock()
+        self._data_plane = _DataPlane(self.core)
+        self.core.on_teardown = self._data_plane.drop
         self._closing = threading.Event()
         self._control = socket.create_server((host, control_port))
         self._control.settimeout(0.25)
@@ -506,6 +771,7 @@ class MiddlewareServer:
         )
 
     def start(self) -> "MiddlewareServer":
+        self._data_plane.start()
         self._accept_thread.start()
         return self
 
@@ -518,7 +784,7 @@ class MiddlewareServer:
             except OSError:
                 break
             threading.Thread(
-                target=self._serve_control, args=(conn,), daemon=True
+                target=self._serve_control, args=(conn,), name="control-conn", daemon=True
             ).start()
 
     def _serve_control(self, conn: socket.socket) -> None:
@@ -558,13 +824,13 @@ class MiddlewareServer:
         config = self.core.handle_register(raw, reregister=reregister)
         session = self.core.get_session_by_token(config.session_token)
         try:
-            listener = _DataListener(self.core, session, self.host)
+            listener = socket.create_server((self.host, config.data_port))
         except OSError:
             self.core.teardown_session(session.hub_id)
             raise NoFreePort(f"cannot bind data port {config.data_port}")
-        with self._listener_lock:
-            self._listeners[session.hub_id] = listener
-        listener.start()
+        if not self._data_plane.add(session, listener):
+            self.core.teardown_session(session.hub_id)
+            raise NoFreePort("the server is stopping")
         wire.write_message(
             conn,
             wire.OP_ASSIGN,
@@ -582,12 +848,6 @@ class MiddlewareServer:
         except OSError:
             pass
 
-    def _close_listener(self, session: RegistrationSession) -> None:
-        with self._listener_lock:
-            listener = self._listeners.pop(session.hub_id, None)
-        if listener is not None:
-            listener.close()
-
     def stop(self) -> None:
         self._closing.set()
         try:
@@ -596,8 +856,4 @@ class MiddlewareServer:
             pass
         self._accept_thread.join(timeout=5)
         self.core.shutdown()
-        with self._listener_lock:
-            leftovers = list(self._listeners.values())
-            self._listeners.clear()
-        for listener in leftovers:
-            listener.close()
+        self._data_plane.stop()

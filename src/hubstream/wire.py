@@ -196,6 +196,8 @@ def unpack_field_table(data: bytes, offset: int = 0) -> tuple[list[tuple[str, Va
         return fields, offset
     except (struct.error, IndexError) as exc:
         raise MalformedDocument(f"field table truncated: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"field name is not UTF-8: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -263,9 +265,12 @@ def unpack_status(payload: bytes) -> tuple[int, str]:
         raise MalformedDocument("STATUS payload too short")
     kind = payload[0]
     (hub_len,) = U16.unpack_from(payload, 1)
-    hub_id = payload[3 : 3 + hub_len].decode("utf-8")
     if 3 + hub_len != len(payload):
         raise TrailingBytes("stray bytes after STATUS payload")
+    try:
+        hub_id = payload[3:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"STATUS hub id is not UTF-8: {exc}") from exc
     return kind, hub_id
 
 

@@ -53,6 +53,7 @@ from typing import Callable, Optional
 from .errors import (
     FrameTooShort,
     IllegalTransition,
+    InvalidText,
     MalformedDocument,
     MissingInitParam,
     RepositoryIO,
@@ -213,6 +214,8 @@ def _decode_fields_generic(layout, data: bytes, pos: int) -> tuple:
                 pos += str_len
         except struct.error as exc:
             raise FrameTooShort(f"frame ends inside field {spec.name!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidText(f"field {spec.name!r} is not valid UTF-8") from exc
         out.append((spec.name, value))
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes beyond the last field")
@@ -256,7 +259,11 @@ def _make_string_step(name: str):
         pos += 4
         if pos + str_len > len(data):
             raise FrameTooShort(f"frame ends inside field {name!r}")
-        return data[pos : pos + str_len].decode("utf-8"), pos + str_len
+        try:
+            value = data[pos : pos + str_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidText(f"field {name!r} is not valid UTF-8") from exc
+        return value, pos + str_len
 
     return step
 
@@ -320,6 +327,7 @@ def decode_record(plan: WrapperPlan, frame: bytes, hub_id: str = "") -> StreamRe
         FrameTooShort: frame truncated inside the header or a field.
         TypeTagMismatch: SPSW only; presence byte is neither 0x00 nor 0x01.
         TrailingBytes: bytes remain after the last declared field.
+        InvalidText: a STRING field is not valid UTF-8.
     """
     if len(frame) < FRAME_HEADER.size:
         raise FrameTooShort(f"frame body {len(frame)}B, header needs 16B")

@@ -21,7 +21,9 @@ from hubstream.errors import (
     TypeMismatch,
     UnknownPlugin,
 )
+from hubstream import wire
 from hubstream.hub import (
+    BACKOFF_BASE_MS,
     FilterEngine,
     FilterMode,
     FilterPolicy,
@@ -815,3 +817,50 @@ class TestLiveSessions:
         # ~50 sample ticks, constant signal: only the tick-0 keyframe goes out
         assert wait_until(lambda: session.frames_received == hub.frames_sent)
         assert 1 <= session.records_decoded <= 3
+
+    def test_foreign_assign_layout_is_refused_and_retried(self):
+        """A server whose ASSIGN carries a layout other than the registered
+        schema gets no stream; the hub backs off and re-registers."""
+        control = socket.create_server(("127.0.0.1", 0))
+        control.settimeout(0.05)
+        data = socket.create_server(("127.0.0.1", 0))
+        foreign = [("temp", ValueType.DOUBLE), ("intruder", ValueType.INT)]
+        reregister_flags = []
+        done = threading.Event()
+
+        def serve():
+            while not done.is_set():
+                try:
+                    conn, _ = control.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    conn.settimeout(5)
+                    _, payload = wire.read_message(conn)
+                    reregister_flags.append(wire.unpack_register(payload)[1])
+                    wire.write_message(conn, wire.OP_ASSIGN, wire.pack_assign(
+                        data.getsockname()[1], b"t" * wire.TOKEN_LEN, "dgcw_foreign", foreign))
+
+        fake = threading.Thread(target=serve)
+        fake.start()
+        clock = SimClock()
+        hub = SensorHub("picky_hub", ("127.0.0.1", control.getsockname()[1]), clock=clock)
+        hub.register_plugin(sim_plugin("temp", period_ms=50))
+        hub.start()
+        try:
+            assert wait_until(lambda: len(reregister_flags) == 1)
+            drive(clock, 4 * BACKOFF_BASE_MS, step_ms=BACKOFF_BASE_MS // 2)
+            assert wait_until(lambda: len(reregister_flags) >= 2)
+        finally:
+            hub.stop()
+            done.set()
+            fake.join(timeout=5)
+            control.close()
+        assert not fake.is_alive()
+        assert reregister_flags[:2] == [False, True]
+        assert hub.registration_count == 0
+        assert hub.frames_enqueued == 0
+        data.settimeout(0.1)
+        with pytest.raises(socket.timeout):
+            data.accept()  # the hub never opened the data port
+        data.close()

@@ -1,7 +1,9 @@
 """Registration orchestration, rollback, ingest accounting, TCP shell."""
 
+import errno
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -24,6 +26,9 @@ from hubstream.server import (
     STATUS_LATEST,
     STATUS_LIST,
     STATUS_WINDOW,
+    ACCEPT_BACKOFF_S,
+    RECV_BYTES,
+    WINDOW_BUFFER_LEN,
 )
 from hubstream.wrapper import LifecycleState, Strategy, decode_record
 
@@ -269,6 +274,25 @@ class TestIngest:
         log_path = tmp_path / "data" / "hub_a.log"
         assert sum(1 for _ in RecordLog.replay(log_path)) == stored
 
+    def test_batch_counts_and_logs_like_single_frames(self, tmp_path):
+        core, session = self.register(tmp_path)
+        frames = [reference_frame(SMALL, [float(seq), "v"], seq, seq) for seq in range(5)]
+        batch = [frames[0], frames[1], b"junk", frames[1], frames[2], frames[4], frames[3]]
+        assert core.ingest_batch(session, batch, arrival_ms=77) == 5
+        assert [r.sequence for r in session.window_buffer] == [0, 1, 2, 4, 3]
+        assert session.frames_received == 7
+        assert session.frames_malformed == 1
+        assert session.duplicates_dropped == 1
+        entries = list(RecordLog.replay(tmp_path / "data" / "hub_a.log"))
+        assert entries == [(77, f) for f in (frames[0], frames[1], frames[2], frames[4], frames[3])]
+
+    def test_window_buffer_keeps_the_newest(self, tmp_path):
+        core, session = self.register(tmp_path)
+        frames = [reference_frame(SMALL, [1.0, "v"], seq, 0) for seq in range(WINDOW_BUFFER_LEN + 5)]
+        core.ingest_batch(session, frames)
+        assert len(session.window_buffer) == WINDOW_BUFFER_LEN
+        assert session.window_buffer[0].sequence == 5
+
     def test_log_replays_to_identical_records(self, tmp_path):
         core, session = self.register(tmp_path)
         originals = []
@@ -418,6 +442,7 @@ class TestTcp:
             assert leftover == b""
         session = server.core.get_session("hub_a")
         assert session.records_decoded == 0
+        assert session.bad_tokens == 1
 
     def test_status_over_tcp(self, server):
         register_over_tcp(server, SMALL)
@@ -449,3 +474,276 @@ class TestTcp:
                     data.sendall(wire.U32.pack(len(body)) + body)
                 assert wait_until(lambda: session.records_decoded >= start + 5)
         assert session.records_decoded == 10
+
+    @pytest.mark.parametrize("bad_length", [3, wire.MAX_MESSAGE + 1])
+    def test_bad_length_drops_connection_and_reconnect_is_served(self, server, bad_length):
+        _, assign = register_over_tcp(server, SMALL)
+        session = server.core.get_session("hub_a")
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            good = reference_frame(SMALL, [1.0, "x"], 0, 0)
+            data.sendall(
+                assign.token + wire.U32.pack(len(good)) + good + wire.U32.pack(bad_length)
+            )
+            data.settimeout(5)
+            try:
+                assert data.recv(1) == b""
+            except ConnectionResetError:
+                pass
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            data.sendall(assign.token)
+            for seq in range(1, 6):
+                body = reference_frame(SMALL, [1.0, "x"], seq, 0)
+                data.sendall(wire.U32.pack(len(body)) + body)
+            # the frame before the bad length, then the five after the reconnect
+            assert wait_until(lambda: session.records_decoded == 6)
+        assert session.frames_malformed == 0
+        assert session.bad_lengths == 1
+
+    def test_frames_split_at_any_byte_are_reassembled(self, server, tmp_path):
+        _, assign = register_over_tcp(server, SMALL)
+        bodies = [reference_frame(SMALL, [float(s), "m" * s], s, s) for s in range(40)]
+        stream = assign.token + b"".join(wire.U32.pack(len(b)) + b for b in bodies)
+        rng = random.Random(5)
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            data.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            pos = 0
+            while pos < len(stream):
+                step = rng.choice((1, 2, 3, 7, 30, 200))
+                data.sendall(stream[pos : pos + step])
+                pos += step
+                time.sleep(0.0005)
+            session = server.core.get_session("hub_a")
+            assert wait_until(lambda: session.frames_received == 40)
+        assert session.records_decoded == 40
+        logged = [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
+        assert logged == bodies
+
+    def test_second_connection_waits_for_the_first(self, server):
+        _, assign = register_over_tcp(server, SMALL)
+        session = server.core.get_session("hub_a")
+        body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+        first = socket.create_connection(("127.0.0.1", assign.data_port), timeout=5)
+        second = socket.create_connection(("127.0.0.1", assign.data_port), timeout=5)
+        try:
+            first.sendall(assign.token)
+            second.sendall(assign.token + wire.U32.pack(len(body)) + body)
+            time.sleep(0.2)
+            assert session.frames_received == 0  # still in the backlog
+            first.close()
+            assert wait_until(lambda: session.records_decoded == 1)
+        finally:
+            first.close()
+            second.close()
+
+    def test_bad_status_nacks_and_connection_survives(self, server):
+        register_over_tcp(server, SMALL)
+        with control_connect(server) as sock:
+            bad = bytes([STATUS_LATEST]) + wire.U16.pack(2) + b"\xff\xfe"
+            wire.write_message(sock, wire.OP_STATUS, bad)
+            opcode, payload = wire.read_message(sock)
+            assert opcode == wire.OP_NACK
+            assert wire.unpack_nack(payload)[0] == wire.NACK_MALFORMED
+            wire.write_message(sock, wire.OP_STATUS, wire.pack_status(STATUS_LIST))
+            opcode, payload = wire.read_message(sock)
+        assert opcode == wire.OP_STATUS_OK
+        assert "hub_a,active" in payload.decode()
+
+    def test_thread_count_does_not_grow_with_hubs(self, server):
+        def settled_thread_count():
+            assert wait_until(
+                lambda: not any(t.name == "control-conn" for t in threading.enumerate())
+            )
+            return threading.active_count()
+
+        def register_and_stream(hub):
+            opcode, assign = register_over_tcp(server, SMALL, hub=hub)
+            assert opcode == wire.OP_ASSIGN
+            data = socket.create_connection(("127.0.0.1", assign.data_port), timeout=5)
+            body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+            data.sendall(assign.token + wire.U32.pack(len(body)) + body)
+            return data
+
+        conns = [register_and_stream("hub_0")]
+        try:
+            with_one = settled_thread_count()
+            conns += [register_and_stream(f"hub_{i}") for i in range(1, 20)]
+            assert wait_until(
+                lambda: all(s.records_decoded == 1 for s in server.core.sessions.values())
+            )
+            assert len(server.core.sessions) == 20
+            assert settled_thread_count() == with_one
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_teardown_closes_port_and_frees_it_at_once(self, server):
+        _, assign = register_over_tcp(server, SMALL)
+        session = server.core.get_session("hub_a")
+        data = socket.create_connection(("127.0.0.1", assign.data_port), timeout=5)
+        try:
+            body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+            data.sendall(assign.token + wire.U32.pack(len(body)) + body)
+            assert wait_until(lambda: session.records_decoded == 1)
+            server.core.teardown_session("hub_a")
+            try:
+                assert data.recv(1) == b""  # the served connection is closed
+            except ConnectionResetError:
+                pass
+        finally:
+            data.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", assign.data_port), timeout=5).close()
+        opcode, again = register_over_tcp(server, SMALL, hub="hub_b")
+        assert opcode == wire.OP_ASSIGN
+        assert again.data_port == assign.data_port
+        with socket.create_connection(("127.0.0.1", again.data_port), timeout=5) as data:
+            data.sendall(again.token + wire.U32.pack(len(body)) + body)
+            fresh = server.core.get_session("hub_b")
+            assert wait_until(lambda: fresh.records_decoded == 1)
+
+    def test_bind_failure_rolls_back_and_nacks(self, server):
+        blocker = socket.create_server(("127.0.0.1", 17100))
+        try:
+            opcode, (code, _) = register_over_tcp(server, SMALL)
+        finally:
+            blocker.close()
+        assert (opcode, code) == (wire.OP_NACK, wire.NACK_NO_FREE_PORT)
+        assert server.core.sessions == {}
+        assert server.core.ports.active_count() == 0
+        assert server.core.catalog.live("hub_a") is None
+        assert register_over_tcp(server, SMALL)[0] == wire.OP_ASSIGN
+
+    def test_registration_once_the_data_plane_stopped_is_refused(self, server):
+        server._data_plane.stop()
+        opcode, (code, _) = register_over_tcp(server, SMALL)
+        assert (opcode, code) == (wire.OP_NACK, wire.NACK_NO_FREE_PORT)
+        assert server.core.sessions == {}
+        assert server.core.ports.active_count() == 0
+        assert server.core.catalog.live("hub_a") is None
+
+    def test_status_beside_full_rate_stream(self, server):
+        _, assign = register_over_tcp(server, SMALL)
+        fields = reference_frame(SMALL, [1.0, "x"], 0, 0)[wire.FRAME_HEADER.size :]
+        stop = threading.Event()
+
+        def stream():
+            seq = 0
+            with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+                data.sendall(assign.token)
+                while not stop.is_set():
+                    data.sendall(b"".join(wire.pack_frame(s, s, fields) for s in range(seq, seq + 500)))
+                    seq += 500
+
+        streamer = threading.Thread(target=stream)
+        streamer.start()
+        replies = []
+        try:
+            session = server.core.get_session("hub_a")
+            assert wait_until(lambda: session.records_decoded > 0)
+            deadline = time.monotonic() + 1.5
+            with control_connect(server) as sock:
+                while time.monotonic() < deadline:
+                    for kind in (STATUS_LATEST, STATUS_WINDOW):
+                        wire.write_message(sock, wire.OP_STATUS, wire.pack_status(kind, "hub_a"))
+                        replies.append(wire.read_message(sock)[0])
+        finally:
+            stop.set()
+            streamer.join(timeout=10)
+        assert not streamer.is_alive()
+        assert len(replies) > 20
+        assert set(replies) == {wire.OP_STATUS_OK}
+
+    def stream(self, assign, first_seq, count):
+        """Connect to the data port and send count good frames."""
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            data.sendall(assign.token)
+            for seq in range(first_seq, first_seq + count):
+                body = reference_frame(SMALL, [1.0, "x"], seq, 0)
+                data.sendall(wire.U32.pack(len(body)) + body)
+
+    def test_string_that_is_not_utf8_is_malformed_and_every_hub_stays_served(self, server):
+        _, assign_a = register_over_tcp(server, SMALL, hub="hub_a")
+        _, assign_b = register_over_tcp(server, SMALL, hub="hub_b")
+        hub_a = server.core.get_session("hub_a")
+        hub_b = server.core.get_session("hub_b")
+        good = reference_frame(SMALL, [1.0, "ok"], 0, 0)
+        bad = reference_frame(SMALL, [1.0, "ab"], 1, 0).replace(b"ab", b"\xff\xfe")
+        after = reference_frame(SMALL, [1.0, "ok"], 2, 0)
+        with socket.create_connection(("127.0.0.1", assign_a.data_port), timeout=5) as data:
+            data.sendall(
+                assign_a.token + b"".join(wire.U32.pack(len(f)) + f for f in (good, bad, after))
+            )
+            assert wait_until(lambda: hub_a.frames_received == 3)
+        assert hub_a.frames_malformed == 1
+        assert hub_a.records_decoded == 2
+        self.stream(assign_b, 0, 5)
+        assert wait_until(lambda: hub_b.records_decoded == 5)
+        self.stream(assign_a, 3, 5)
+        assert wait_until(lambda: hub_a.records_decoded == 7)
+
+    def test_ingest_fault_drops_only_that_connection(self, server, monkeypatch, caplog):
+        _, assign_a = register_over_tcp(server, SMALL, hub="hub_a")
+        _, assign_b = register_over_tcp(server, SMALL, hub="hub_b")
+        hub_a = server.core.get_session("hub_a")
+        hub_b = server.core.get_session("hub_b")
+        real_ingest = server.core.ingest_batch
+        faults = [RuntimeError("decoder fault")]
+
+        def ingest_batch(session, bodies, arrival_ms=None):
+            if session is hub_a and faults:
+                raise faults.pop()
+            return real_ingest(session, bodies, arrival_ms)
+
+        monkeypatch.setattr(server.core, "ingest_batch", ingest_batch)
+        with socket.create_connection(("127.0.0.1", assign_a.data_port), timeout=5) as data:
+            body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+            data.sendall(assign_a.token + wire.U32.pack(len(body)) + body)
+            data.settimeout(5)
+            try:
+                assert data.recv(1) == b""  # dropped
+            except ConnectionResetError:
+                pass
+        assert hub_a.batches_failed == 1
+        assert "decoder fault" in caplog.text  # the traceback is logged
+        self.stream(assign_b, 0, 5)
+        assert wait_until(lambda: hub_b.records_decoded == 5)
+        self.stream(assign_a, 1, 5)
+        assert wait_until(lambda: hub_a.records_decoded == 5)
+
+    def test_failed_accept_backs_off_then_serves(self, server, monkeypatch):
+        _, assign = register_over_tcp(server, SMALL)
+        session = server.core.get_session("hub_a")
+        real_accept = socket.socket.accept
+        failing = True
+        calls = 0
+
+        def accept(sock):
+            nonlocal calls
+            if failing and sock.getsockname()[1] == assign.data_port:
+                calls += 1
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+            data.sendall(assign.token + wire.U32.pack(len(body)) + body)
+            time.sleep(0.5)
+            # one try per back-off period, not a loop spinning on a readable listener
+            assert 1 <= calls <= 0.5 / ACCEPT_BACKOFF_S + 2
+            failing = False
+            assert wait_until(lambda: session.records_decoded == 1)
+
+    def test_large_frame_over_many_reads(self, server, tmp_path):
+        schema = [("blob", ValueType.STRING)]
+        _, assign = register_over_tcp(server, schema)
+        big = reference_frame(schema, ["z" * (3 * RECV_BYTES)], 0, 0)
+        small = reference_frame(schema, ["y"], 1, 0)
+        stream = assign.token + b"".join(wire.U32.pack(len(f)) + f for f in (big, small))
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            for pos in range(0, len(stream), 50_000):
+                data.sendall(stream[pos : pos + 50_000])
+            session = server.core.get_session("hub_a")
+            assert wait_until(lambda: session.records_decoded == 2)
+        logged = [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
+        assert logged == [big, small]

@@ -36,6 +36,12 @@ def test_field_table_rejects_truncation():
         wire.unpack_field_table(data[:-2])
 
 
+def test_field_table_rejects_name_that_is_not_utf8():
+    data = wire.U16.pack(1) + wire.U16.pack(2) + b"\xff\xfe" + bytes([1])
+    with pytest.raises(MalformedDocument):
+        wire.unpack_field_table(data)
+
+
 class TestRegister:
     def test_round_trip_both_flags(self):
         for flag in (False, True):
@@ -90,6 +96,11 @@ def test_nack_round_trip():
 def test_status_round_trip():
     assert wire.unpack_status(wire.pack_status(1, "hub_a")) == (1, "hub_a")
     assert wire.unpack_status(wire.pack_status(0)) == (0, "")
+
+
+def test_status_rejects_hub_id_that_is_not_utf8():
+    with pytest.raises(MalformedDocument):
+        wire.unpack_status(bytes([1]) + wire.U16.pack(2) + b"\xff\xfe")
 
 
 class TestSocketFraming:

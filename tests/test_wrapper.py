@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hubstream.errors import (
     FrameTooShort,
+    HubStreamError,
     IllegalTransition,
+    InvalidText,
     MalformedDocument,
     MissingInitParam,
     SequenceRegression,
@@ -180,6 +182,13 @@ class TestDecode:
             with pytest.raises(FrameTooShort):
                 decode_record(plan, frame)
 
+    def test_string_that_is_not_utf8(self):
+        schema = [("s", ValueType.STRING)]
+        frame = struct.pack(">QQ", 0, 0) + bytes([0x01]) + struct.pack(">I", 2) + b"\xff\xfe"
+        for plan in plans_for(schema):
+            with pytest.raises(InvalidText):
+                decode_record(plan, frame)
+
 
 class TestPlanSerialization:
     def test_compile_twice_byte_identical(self):
@@ -229,6 +238,12 @@ class TestPlanSerialization:
     def test_load_rejects_bad_magic(self):
         with pytest.raises(MalformedDocument):
             load_plan(b"XXXX\x01\x02\x00\x00", "0" * 32)
+
+    def test_load_rejects_field_name_that_is_not_utf8(self):
+        doc = doc_for([("ab", ValueType.INT)])
+        raw = serialize_plan(compile_plan(doc, Strategy.DGCW)).replace(b"ab", b"\xff\xfe")
+        with pytest.raises(HubStreamError):
+            load_plan(raw, "0" * 32)
 
     def test_load_rejects_trailing_bytes(self):
         doc = doc_for([("a", ValueType.INT)])
