@@ -18,6 +18,7 @@ asserts, magnitudes are hardware-bound.
 
 from __future__ import annotations
 
+import gc
 import platform
 import statistics
 import tempfile
@@ -299,22 +300,36 @@ def bench_config_time(
     the measurement.
     """
     report = BenchReport("config")
-    for n in field_counts:
-        sensors = fixed_width_schema(n)
-        cold, warm = [], []
-        for rep in range(reps):
+    cold = {n: [] for n in field_counts}
+    warm = {n: [] for n in field_counts}
+    for _ in range(reps):  # sizes interleave, so a slow spell hits every size
+        for n in field_counts:
+            sensors = fixed_width_schema(n)
             with tempfile.TemporaryDirectory(prefix="bench-config-") as store:
                 core = MiddlewareCore(Path(store), strategy=strategy)
                 try:
-                    core.handle_register(_doc_for("hub_cold", sensors))
-                    cold.append(core.get_session("hub_cold").configuration_time_ms)
-                    core.handle_register(_doc_for("hub_warm", sensors))
-                    warm.append(core.get_session("hub_warm").configuration_time_ms)
+                    cold[n].append(_configuration_time_ms(core, "hub_cold", sensors))
+                    warm[n].append(_configuration_time_ms(core, "hub_warm", sensors))
                 finally:
                     core.shutdown()
-        report.add(f"{strategy.tag}_cold_register", "ms", n, cold)
-        report.add(f"{strategy.tag}_warm_register", "ms", n, warm)
+    for n in field_counts:
+        report.add(f"{strategy.tag}_cold_register", "ms", n, cold[n])
+        report.add(f"{strategy.tag}_warm_register", "ms", n, warm[n])
     return report
+
+
+def _configuration_time_ms(core: MiddlewareCore, hub_id: str, sensors) -> float:
+    """Register the hub with the garbage collector off, as timeit does, and
+    return the middleware's own configuration_time_ms."""
+    raw = _doc_for(hub_id, sensors)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        core.handle_register(raw)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return core.get_session(hub_id).configuration_time_ms
 
 
 def _store_plan_bytes(store: Path) -> int:

@@ -100,10 +100,6 @@ class UnknownHub(HubStreamError):
 # --- hub ------------------------------------------------------------------
 
 
-class SampleTimeout(HubStreamError):
-    """Plugin did not produce a sample in time; treated as absence."""
-
-
 class DuplicatePlugin(HubStreamError):
     """A plugin with this id is already registered."""
 

@@ -286,6 +286,7 @@ class MiddlewareCore:
         self.catalog = VsdCatalog(self.store_dir)
         self.ports = PortAllocator(*port_range)
         self.sessions: dict[str, RegistrationSession] = {}
+        self._registering: set[str] = set()  # hub ids mid-registration
         self._lock = threading.Lock()
         # shell hook: called with the session before its instance stops,
         # so a network wrapper can close the data port first
@@ -298,28 +299,33 @@ class MiddlewareCore:
 
         Raises:
             MalformedDocument/UnknownVersion/SchemaViolation: bad document.
-            NameCollision: hub already active and reregister not set.
+            NameCollision: hub already active and reregister not set, or
+                another registration of the hub is in progress.
             NoFreePort: port range exhausted.
         """
         t0 = time.perf_counter()
         doc = parse_musdd(raw)
 
+        # Claim the hub id before any compile or I/O: a concurrent attempt for
+        # the same hub fails here, never in the rollback that would undo ours.
         with self._lock:
+            if doc.hub_id in self._registering:
+                raise NameCollision(f"hub {doc.hub_id!r} is already registering")
             existing = self.sessions.get(doc.hub_id)
             if existing is not None and existing.state is SessionState.ACTIVE:
                 if not reregister:
                     raise NameCollision(f"hub {doc.hub_id!r} already registered")
                 self._teardown_locked(existing)
+            self._registering.add(doc.hub_id)
 
-        fp = fingerprint(doc)
-        plan, cache_hit = self.repository.lookup_or_add(
-            fp, self.strategy, lambda: compile_plan(doc, self.strategy)
-        )
-
-        vsd = self.catalog.generate_vsd(doc, plan)
         port = None
         instance = None
         try:
+            fp = fingerprint(doc)
+            plan, cache_hit = self.repository.lookup_or_add(
+                fp, self.strategy, lambda: compile_plan(doc, self.strategy)
+            )
+            vsd = self.catalog.generate_vsd(doc, plan)
             port = self.ports.reserve()
             wcr = make_wcr(vsd, port)
             instance = instantiate(wcr, self.repository)
@@ -340,17 +346,20 @@ class MiddlewareCore:
             session.configuration_time_ms = (time.perf_counter() - t0) * 1000.0
             with self._lock:
                 self.sessions[doc.hub_id] = session
+                self._registering.discard(doc.hub_id)
         except BaseException:
             self.catalog.teardown(doc.hub_id)
             if port is not None:
                 self.ports.release(port)
             if instance is not None:
                 _dispose_quietly(instance)
+            with self._lock:
+                self._registering.discard(doc.hub_id)
             raise
         return AssignConfig(
             data_port=port,
             wrapper_name=vsd.wrapper_name,
-            field_layout=tuple((f.name, f.value_type) for f in plan.field_layout),
+            field_layout=plan.field_layout,
             session_token=session.token,
         )
 
@@ -467,8 +476,7 @@ class MiddlewareCore:
         if kind == STATUS_LATEST:
             out = io.StringIO()
             w = csv.writer(out)
-            names = [f.name for f in session.instance.plan.field_layout]
-            w.writerow(["hub_id", "sequence", "timestamp_ms", *names])
+            w.writerow(["hub_id", "sequence", "timestamp_ms", *session.instance.plan.field_names])
             records = list(session.window_buffer)  # the loop appends while we read
             if records:
                 newest = max(records, key=lambda r: r.sequence)
@@ -764,7 +772,6 @@ class MiddlewareServer:
         self.core.on_teardown = self._data_plane.drop
         self._closing = threading.Event()
         self._control = socket.create_server((host, control_port))
-        self._control.settimeout(0.25)
         self.control_port = self._control.getsockname()[1]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="control-accept", daemon=True
@@ -779,10 +786,8 @@ class MiddlewareServer:
         while not self._closing.is_set():
             try:
                 conn, _ = self._control.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break
+                break  # stop() shut the listener down
             threading.Thread(
                 target=self._serve_control, args=(conn,), name="control-conn", daemon=True
             ).start()
@@ -851,9 +856,11 @@ class MiddlewareServer:
     def stop(self) -> None:
         self._closing.set()
         try:
-            self._control.close()
+            # wakes the blocked accept, which then fails
+            self._control.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._accept_thread.join(timeout=5)
+        self._control.close()
         self.core.shutdown()
         self._data_plane.stop()

@@ -278,14 +278,13 @@ class VsdCatalog:
         """
         if doc.hub_id in self._live:
             raise NameCollision(f"live definition exists for hub {doc.hub_id!r}")
-        output_fields = tuple((f.name, f.value_type) for f in plan.field_layout)
         vsd = VirtualSensorDefinition(
             vsd_name=f"vs_{doc.hub_id}",
             hub_id=doc.hub_id,
-            output_fields=output_fields,
+            output_fields=plan.field_layout,
             wrapper_name=wrapper_name_for(plan.strategy, plan.fingerprint),
             init_params=(("hub_id", doc.hub_id),),
-            query=default_query(output_fields),
+            query=default_query(plan.field_layout),
         )
         try:
             (self._dir / f"{vsd.vsd_name}.xml").write_bytes(serialize_vsd(vsd))

@@ -12,10 +12,11 @@ Two strategies turn a hub's schema into a frame decoder:
   fingerprint.  Compilation precomputes the decode work a generic wrapper
   repeats per record: a single precompiled struct covering the whole field
   region (taken when the frame length matches the all-present layout of a
-  fixed-width schema) and, for the general case, a per-field list of
-  specialized step closures that never consult the schema again.  The
-  specialized path trusts frame lengths from a conforming encoder; it does
-  not re-validate presence tags (SPSW does, and raises TypeTagMismatch).
+  fixed-width schema) and, for the general case, a table of (field name,
+  payload unpacker) pairs walked in one loop that never consults the
+  schema again.  The specialized path trusts frame lengths from a
+  conforming encoder; it does not re-validate presence tags (SPSW does, and
+  raises TypeTagMismatch).
 
 Both strategies must decode every valid frame identically; the generic
 path doubles as the oracle for the specialized one in tests.
@@ -43,12 +44,12 @@ from __future__ import annotations
 import os
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     FrameTooShort,
@@ -62,7 +63,7 @@ from .errors import (
     TypeTagMismatch,
     UnknownWrapper,
 )
-from .sdd import GENERIC_SCHEMA_DIGEST, MicroSDD, SchemaFingerprint, ValueType
+from .sdd import GENERIC_SCHEMA_DIGEST, MicroSDD, SchemaFingerprint, ValueType, fingerprint
 from .wire import FRAME_HEADER, F64, I64, U32, pack_field_table, unpack_field_table
 
 __all__ = [
@@ -117,20 +118,15 @@ class Strategy(Enum):
         raise MalformedDocument(f"unknown strategy code {code}")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One field of a plan's layout.  fixed_offset is the field's presence
-    byte position within the frame's field region when every field is
-    present; populated on DGCW plans for each field up to and including
-    the first STRING field (after which positions float), None on SPSW."""
+class FieldSpec(NamedTuple):
+    """One field of a plan's layout: the (name, type) pair that ASSIGN, the
+    virtual sensor definition and the wire field table carry."""
 
     name: str
     value_type: ValueType
-    fixed_offset: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class StreamRecord:
+class StreamRecord(NamedTuple):
     """One decoded sample row.  values holds (field name, value) in schema
     order; a None value is a null (sensor absent at sample time)."""
 
@@ -146,7 +142,6 @@ class WrapperPlan:
     strategy: Strategy
     field_layout: tuple[FieldSpec, ...]
     plan_size_bytes: int
-    compiled_at: float = field(compare=False)
     _decode: Callable = field(compare=False, repr=False)
 
     @property
@@ -176,9 +171,6 @@ def parse_wrapper_name(name: str) -> tuple[Strategy, str]:
 
 
 # --- decoding -------------------------------------------------------------
-
-_FIXED_PAYLOAD = 8  # INT and DOUBLE both carry 8 bytes after the presence byte
-
 
 def _decode_fields_generic(layout, data: bytes, pos: int) -> tuple:
     """The SPSW path: walk the field list, validating presence tags and
@@ -222,90 +214,57 @@ def _decode_fields_generic(layout, data: bytes, pos: int) -> tuple:
     return tuple(out)
 
 
-def _make_int_step(name: str):
-    unpack_from = I64.unpack_from
-
-    def step(data: bytes, pos: int):
-        try:
-            (value,) = unpack_from(data, pos)
-        except struct.error as exc:
-            raise FrameTooShort(f"frame ends inside field {name!r}") from exc
-        return value, pos + 8
-
-    return step
-
-
-def _make_double_step(name: str):
-    unpack_from = F64.unpack_from
-
-    def step(data: bytes, pos: int):
-        try:
-            (value,) = unpack_from(data, pos)
-        except struct.error as exc:
-            raise FrameTooShort(f"frame ends inside field {name!r}") from exc
-        return value, pos + 8
-
-    return step
-
-
-def _make_string_step(name: str):
-    unpack_from = U32.unpack_from
-
-    def step(data: bytes, pos: int):
-        try:
-            (str_len,) = unpack_from(data, pos)
-        except struct.error as exc:
-            raise FrameTooShort(f"frame ends inside field {name!r}") from exc
-        pos += 4
-        if pos + str_len > len(data):
-            raise FrameTooShort(f"frame ends inside field {name!r}")
-        try:
-            value = data[pos : pos + str_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidText(f"field {name!r} is not valid UTF-8") from exc
-        return value, pos + str_len
-
-    return step
-
-
-_STEP_FACTORY = {
-    ValueType.INT: _make_int_step,
-    ValueType.DOUBLE: _make_double_step,
-    ValueType.STRING: _make_string_step,
+_UNPACKER = {  # None: a STRING payload is length-prefixed
+    ValueType.INT: I64.unpack_from,
+    ValueType.DOUBLE: F64.unpack_from,
+    ValueType.STRING: None,
 }
 
 
 def _build_dgcw_decoder(layout: tuple[FieldSpec, ...]) -> Callable:
-    """Precompute everything the generic path looks up per record."""
-    names = tuple(spec.name for spec in layout)
-    steps = tuple(
-        (spec.name, _STEP_FACTORY[spec.value_type](spec.name)) for spec in layout
-    )
+    """Precompute everything the generic path looks up per record: a table
+    of (name, payload unpacker) walked without consulting the schema, and
+    for a fixed-width schema one struct covering a frame with every field
+    present."""
+    table = tuple((name, _UNPACKER[value_type]) for name, value_type in layout)
+    unpack_length = U32.unpack_from
 
     def walk(data: bytes, pos: int) -> tuple:
         out = []
         end = len(data)
-        for name, step in steps:
+        for name, unpack in table:
             if pos >= end:
                 raise FrameTooShort(f"frame ends before field {name!r}")
-            presence = data[pos]
+            present = data[pos]
             pos += 1
-            if presence:
-                value, pos = step(data, pos)
-                out.append((name, value))
-            else:
+            if not present:
                 out.append((name, None))
+                continue
+            try:
+                if unpack is not None:
+                    (value,) = unpack(data, pos)
+                    pos += 8
+                else:
+                    (str_len,) = unpack_length(data, pos)
+                    pos += 4
+                    if pos + str_len > end:
+                        raise FrameTooShort(f"frame ends inside field {name!r}")
+                    value = data[pos : pos + str_len].decode("utf-8")
+                    pos += str_len
+            except struct.error as exc:
+                raise FrameTooShort(f"frame ends inside field {name!r}") from exc
+            except UnicodeDecodeError as exc:
+                raise InvalidText(f"field {name!r} is not valid UTF-8") from exc
+            out.append((name, value))
         if pos != end:
             raise TrailingBytes(f"{end - pos} bytes beyond the last field")
         return tuple(out)
 
-    fixed_width = all(spec.value_type is not ValueType.STRING for spec in layout)
-    if not fixed_width:
+    if any(unpack is None for _, unpack in table):
         return walk
 
-    codes = "".join(
-        "Bq" if spec.value_type is ValueType.INT else "Bd" for spec in layout
-    )
+    names = tuple(name for name, _ in table)
+    codes = "".join("Bq" if vt is ValueType.INT else "Bd" for _, vt in layout)
     all_present = struct.Struct(">" + codes)
     nominal = all_present.size
     unpack = all_present.unpack_from
@@ -338,60 +297,31 @@ def decode_record(plan: WrapperPlan, frame: bytes, hub_id: str = "") -> StreamRe
 
 # --- compilation and persistence -------------------------------------------
 
-def _layout_from_doc(doc: MicroSDD, with_offsets: bool) -> tuple[FieldSpec, ...]:
-    specs = []
-    offset = 0
-    offsets_valid = True
-    for sensor in doc.sensors:
-        specs.append(
-            FieldSpec(
-                name=sensor.name,
-                value_type=sensor.value_type,
-                fixed_offset=offset if (with_offsets and offsets_valid) else None,
-            )
-        )
-        if sensor.value_type is ValueType.STRING:
-            offsets_valid = False
-        offset += 1 + _FIXED_PAYLOAD
-    return tuple(specs)
-
-
 def _plan_bytes(strategy: Strategy, layout: tuple[FieldSpec, ...]) -> bytes:
-    if strategy is Strategy.SPSW:
-        table = pack_field_table([])
-    else:
-        table = pack_field_table([(f.name, f.value_type) for f in layout])
+    table = pack_field_table(layout if strategy is Strategy.DGCW else ())
     return PLAN_MAGIC + bytes([PLAN_FORMAT_VERSION, strategy.code]) + table
+
+
+def _make_plan(
+    fp: SchemaFingerprint, strategy: Strategy, layout: tuple[FieldSpec, ...], size: int
+) -> WrapperPlan:
+    if strategy is Strategy.DGCW:
+        decoder = _build_dgcw_decoder(layout)
+    else:
+        decoder = partial(_decode_fields_generic, layout)
+    return WrapperPlan(fp, strategy, layout, size, decoder)
 
 
 def compile_plan(doc: MicroSDD, strategy: Strategy) -> WrapperPlan:
     """Build a decode plan for the document's schema.
 
-    DGCW precomputes fixed offsets, per-field step closures, and the
-    all-present struct for fixed-width schemas; SPSW parameterizes the
-    shared generic routine with the field list and does all interpretation
-    per record.
+    DGCW precomputes a per-field unpacker table and the all-present struct
+    for fixed-width schemas; SPSW parameterizes the shared generic routine
+    with the field list and does all interpretation per record.
     """
-    from .sdd import fingerprint as _fingerprint
-
-    fp = _fingerprint(doc)
-    if strategy is Strategy.DGCW:
-        layout = _layout_from_doc(doc, with_offsets=True)
-        decoder = _build_dgcw_decoder(layout)
-    else:
-        layout = _layout_from_doc(doc, with_offsets=False)
-        decoder = lambda data, pos, _layout=layout: _decode_fields_generic(
-            _layout, data, pos
-        )
-    raw = _plan_bytes(strategy, layout)
-    return WrapperPlan(
-        fingerprint=fp,
-        strategy=strategy,
-        field_layout=layout,
-        plan_size_bytes=len(raw),
-        compiled_at=time.time(),
-        _decode=decoder,
-    )
+    layout = tuple(FieldSpec(s.name, s.value_type) for s in doc.sensors)
+    size = len(_plan_bytes(strategy, layout))
+    return _make_plan(fingerprint(doc), strategy, layout, size)
 
 
 def serialize_plan(plan: WrapperPlan) -> bytes:
@@ -403,7 +333,7 @@ def serialize_plan(plan: WrapperPlan) -> bytes:
 
 def load_plan(data: bytes, digest: str) -> WrapperPlan:
     """Rebuild a plan from its file bytes.  The digest comes from the file
-    name; offsets and decoders are recomputed from the field table."""
+    name; the decoder is rebuilt from the field table."""
     if data[:4] != PLAN_MAGIC:
         raise MalformedDocument("not a plan file (bad magic)")
     if len(data) < 6:
@@ -414,32 +344,8 @@ def load_plan(data: bytes, digest: str) -> WrapperPlan:
     fields, end = unpack_field_table(data, 6)
     if end != len(data):
         raise TrailingBytes("plan file has trailing bytes")
-
-    specs = []
-    offset = 0
-    offsets_valid = strategy is Strategy.DGCW
-    for name, vtype in fields:
-        specs.append(
-            FieldSpec(name, vtype, offset if offsets_valid else None)
-        )
-        if vtype is ValueType.STRING:
-            offsets_valid = False
-        offset += 1 + _FIXED_PAYLOAD
-    layout = tuple(specs)
-    if strategy is Strategy.DGCW:
-        decoder = _build_dgcw_decoder(layout)
-    else:
-        decoder = lambda data, pos, _layout=layout: _decode_fields_generic(
-            _layout, data, pos
-        )
-    return WrapperPlan(
-        fingerprint=SchemaFingerprint(digest),
-        strategy=strategy,
-        field_layout=layout,
-        plan_size_bytes=len(data),
-        compiled_at=time.time(),
-        _decode=decoder,
-    )
+    layout = tuple(FieldSpec(name, value_type) for name, value_type in fields)
+    return _make_plan(SchemaFingerprint(digest), strategy, layout, len(data))
 
 
 class PlanRepository:
@@ -517,10 +423,6 @@ class PlanRepository:
         if plan is None:
             raise UnknownWrapper(f"no plan for {strategy.tag}_{digest}")
         return plan
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
 
 
 def instantiate(

@@ -41,22 +41,6 @@ def reference_frame(schema, row, sequence, timestamp_ms) -> bytes:
     )
 
 
-# --- reference fixed-offset calculator ---------------------------------------
-
-def reference_offsets(value_types):
-    """All-present presence-byte positions, populated up to and including
-    the first STRING field, None after."""
-    offsets = []
-    pos = 0
-    seen_string = False
-    for vtype in value_types:
-        offsets.append(None if seen_string else pos)
-        if vtype is ValueType.STRING:
-            seen_string = True
-        pos += 9  # presence byte + 8-byte fixed payload slot
-    return offsets
-
-
 # --- reference lifecycle automaton -------------------------------------------
 
 # (state, event) -> next state; any pair not listed is rejected.

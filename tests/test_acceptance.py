@@ -93,7 +93,7 @@ class TestAcceptance:
     def test_03_configuration_time_shape(self):
         sizes = (1, 2, 4, 8, 16, 32, 64)
         t0 = time.monotonic()
-        rep = bench_config_time(field_counts=sizes, strategy=Strategy.DGCW, reps=15)
+        rep = bench_config_time(field_counts=sizes, strategy=Strategy.DGCW, reps=45)
         elapsed = time.monotonic() - t0
         cold = dict(rep.medians("dgcw_cold_register"))
         warm = dict(rep.medians("dgcw_warm_register"))

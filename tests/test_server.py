@@ -3,6 +3,7 @@
 import errno
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -135,6 +136,39 @@ class TestRegistration:
         a = core.handle_register(doc_bytes(SMALL, hub="hub_a"))
         b = core.handle_register(doc_bytes(SMALL, hub="hub_b"))
         assert a.data_port != b.data_port
+
+
+class TestConcurrentRegistration:
+    def test_same_hub_from_two_threads_registers_once(self, tmp_path):
+        raw = doc_bytes(SMALL)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(100):
+                core = MiddlewareCore(tmp_path / f"t{trial}", port_range=(7100, 7110))
+                barrier = threading.Barrier(2)
+                outcomes = []
+
+                def attempt():
+                    barrier.wait(timeout=5)
+                    try:
+                        core.handle_register(raw)
+                        outcomes.append("registered")
+                    except NameCollision:
+                        outcomes.append("collision")
+
+                threads = [threading.Thread(target=attempt) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(outcomes) == ["collision", "registered"], f"trial {trial}"
+                core.shutdown()
+                assert core.ports.active_count() == 0, f"trial {trial}"
+                assert core.catalog.live("hub_a") is None, f"trial {trial}"
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 class TestRollback:
@@ -383,6 +417,20 @@ def server(tmp_path):
     ).start()
     yield srv
     srv.stop()
+
+
+def test_stop_is_prompt_after_a_registration(tmp_path):
+    srv = MiddlewareServer(
+        tmp_path, Strategy.DGCW, control_port=0, port_range=(17100, 17140)
+    ).start()
+    try:
+        assert register_over_tcp(srv, SMALL)[0] == wire.OP_ASSIGN
+    finally:
+        t0 = time.perf_counter()
+        srv.stop()
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 0.05
+    assert not any(t.name == "control-accept" for t in threading.enumerate())
 
 
 class TestTcp:
