@@ -6,10 +6,11 @@ definition, connection request, instance lifecycle, port assignment),
 ingests decoded frames, and answers status queries.  Benchmarks and most
 tests drive the core directly with no sockets involved.
 
-MiddlewareServer is the network shell around a core: a control listener
-that speaks the length-prefixed message protocol (one thread per control
-connection), and one data-plane thread that serves every data port.
-Registration steps run in this order:
+MiddlewareServer is the network shell around a core: one thread runs one
+non-blocking ``selectors`` loop that owns the control listener, every
+control connection, every assigned data port and every hub connection, so
+the server's thread count does not grow with the number of hubs or
+clients.  Registration steps run in this order:
 
     parse -> fingerprint -> plan lookup/compile -> generate definition
           -> reserve port -> connection request -> instantiate
@@ -22,17 +23,18 @@ any step rolls back everything the attempt created: no session entry, no
 live definition, no reserved port, no running instance, no open log or
 socket.  A data port that cannot be bound is refused as NoFreePort.
 
-The data plane is one non-blocking ``selectors`` loop that owns every
-assigned listening socket and every hub connection, so the server's
-thread count does not grow with the number of hubs.  Registration binds
-the data port in the control thread and hands the socket to the loop over
-a wakeup socketpair before ASSIGN is sent.  As in the paper, each hub has
-its own port and each port serves one connection at a time: a second
-connection waits in the listen backlog until the first one closes, and a
-hub that reconnects is served again.  A connection opens with the session
-token; after that every read takes up to RECV_BYTES, every complete
-length-prefixed frame in the buffer is split out and ingested as one
-batch, and a partial frame waits for the next read.
+Control messages are split out with the same splitter as data frames and
+answered on the loop thread, in order: a registration (data-port bind
+included) or a status query.  Until a reply has gone out, that connection
+is watched for writing instead of reading, so a client that does not read
+its replies holds one reply and stalls nothing.  There is no worker
+thread: in CPython it would take turns with ingest, not run beside it;
+frames wait in the kernel meanwhile.  As in the paper, each hub has its
+own data port, which serves one connection at a time (the next waits in
+the backlog; a hub that reconnects is served again).  A connection opens
+with the session token; after that every read takes up to RECV_BYTES,
+every complete frame in it is split out and ingested as one batch, and a
+partial frame waits for the next read.
 
 A wrong token, or a length prefix below the frame header or above
 wire.MAX_MESSAGE, closes the connection (counted on the session as
@@ -44,10 +46,10 @@ on serving every other port.  An accept that fails for want of a file
 descriptor leaves that listener unwatched for ACCEPT_BACKOFF_S rather
 than spinning on it.
 
-Tearing a session down runs on the loop thread, between two rounds of
-events, and returns only once the loop has closed the session's sockets
-and can never touch the session again.  Once the loop has stopped, a new
-data port is refused as NoFreePort and stop() closes the ports left.
+Tearing a session down closes its sockets on the loop thread (between two
+rounds of events, unless the loop itself tears down) and returns only once
+the loop can never touch the session again.  stop() ends the loop and
+closes every socket, control connections included.
 
 Ingest publishes a batch in this order.  For each record: decode and
 dedup (records_decoded moves), then the window buffer.  Then the log
@@ -71,6 +73,7 @@ of one batch carries the batch's arrival time.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
@@ -99,7 +102,7 @@ from .errors import (
     TypeTagMismatch,
     UnknownHub,
 )
-from .sdd import SchemaFingerprint, ValueType, fingerprint, parse_musdd
+from .sdd import SchemaFingerprint, fingerprint, parse_musdd
 from .vsd import VsdCatalog, eval_window_query, make_wcr
 from .wrapper import (
     LifecycleState,
@@ -114,7 +117,6 @@ from .wrapper import (
 _log = logging.getLogger(__name__)
 
 __all__ = [
-    "AssignConfig",
     "SessionState",
     "RegistrationSession",
     "PortAllocator",
@@ -138,9 +140,9 @@ STATUS_WINDOW = 2
 # Per-session in-memory record buffer feeding window queries.
 WINDOW_BUFFER_LEN = 1024
 
-# Most bytes the data plane takes from one connection per read; one read
-# is one ingest batch.
-RECV_BYTES = 256 * 1024
+# Most bytes taken from one connection per read.  One read is one ingest
+# batch, and a control message waits for at most the batch being ingested.
+RECV_BYTES = 64 * 1024
 
 # How long a data port's listener goes unwatched after an accept fails for
 # want of a file descriptor.
@@ -206,6 +208,8 @@ class RecordLog:
         data = path.read_bytes()
         pos = 0
         while pos < len(data):
+            if len(data) - pos < 12:
+                raise FrameTooShort("record log truncated in an entry header")
             (arrival,) = wire.U64.unpack_from(data, pos)
             (length,) = wire.U32.unpack_from(data, pos + 8)
             start = pos + 12
@@ -220,17 +224,6 @@ class SessionState(Enum):
     CONFIGURING = "configuring"
     ACTIVE = "active"
     TORN_DOWN = "torn_down"
-
-
-@dataclass
-class AssignConfig:
-    """What the hub needs to start streaming: where, as whom, in what
-    field order."""
-
-    data_port: int
-    wrapper_name: str
-    field_layout: tuple[tuple[str, ValueType], ...]
-    session_token: bytes
 
 
 @dataclass
@@ -288,19 +281,21 @@ class MiddlewareCore:
         self.sessions: dict[str, RegistrationSession] = {}
         self._registering: set[str] = set()  # hub ids mid-registration
         self._lock = threading.Lock()
-        # shell hook: called with the session before its instance stops,
-        # so a network wrapper can close the data port first
+        # shell hook, called without self._lock with the session before its
+        # instance stops, so a network wrapper can close the data port first
         self.on_teardown: Optional[Callable[[RegistrationSession], None]] = None
 
     # --- registration ------------------------------------------------------
 
-    def handle_register(self, raw: bytes, reregister: bool = False) -> AssignConfig:
-        """Run the registration pipeline; returns the stream assignment.
+    def handle_register(self, raw: bytes, reregister: bool = False) -> wire.AssignPayload:
+        """Run the registration pipeline; returns what ASSIGN tells the hub.
+        With reregister, an active session of the hub is torn down first
+        (plan reuse applies); an unknown hub registers normally.
 
         Raises:
             MalformedDocument/UnknownVersion/SchemaViolation: bad document.
             NameCollision: hub already active and reregister not set, or
-                another registration of the hub is in progress.
+                another registration or a teardown of the hub is in progress.
             NoFreePort: port range exhausted.
         """
         t0 = time.perf_counter()
@@ -311,16 +306,16 @@ class MiddlewareCore:
         with self._lock:
             if doc.hub_id in self._registering:
                 raise NameCollision(f"hub {doc.hub_id!r} is already registering")
-            existing = self.sessions.get(doc.hub_id)
-            if existing is not None and existing.state is SessionState.ACTIVE:
-                if not reregister:
-                    raise NameCollision(f"hub {doc.hub_id!r} already registered")
-                self._teardown_locked(existing)
+            existing = self.sessions.pop(doc.hub_id, None) if reregister else None
+            if doc.hub_id in self.sessions:
+                raise NameCollision(f"hub {doc.hub_id!r} already registered")
             self._registering.add(doc.hub_id)
 
         port = None
         instance = None
         try:
+            if existing is not None:
+                self._release(existing)
             fp = fingerprint(doc)
             plan, cache_hit = self.repository.lookup_or_add(
                 fp, self.strategy, lambda: compile_plan(doc, self.strategy)
@@ -356,43 +351,36 @@ class MiddlewareCore:
             with self._lock:
                 self._registering.discard(doc.hub_id)
             raise
-        return AssignConfig(
-            data_port=port,
-            wrapper_name=vsd.wrapper_name,
-            field_layout=plan.field_layout,
-            session_token=session.token,
-        )
+        return wire.AssignPayload(port, session.token, vsd.wrapper_name, plan.field_layout)
 
-    def handle_reregister(self, raw: bytes) -> AssignConfig:
-        """Re-registration: tear down any active session for the hub, then
-        register afresh (plan reuse applies).  Unknown hubs register
-        normally."""
-        return self.handle_register(raw, reregister=True)
-
-    def _teardown_locked(self, session: RegistrationSession) -> None:
-        if session.state is SessionState.TORN_DOWN:
-            return
+    def _release(self, session: RegistrationSession) -> None:
+        """Close what a session taken out of the table holds, its data port
+        first.  Runs without self._lock: on_teardown may wait for a thread
+        that needs it.  The caller keeps the hub id in _registering."""
         if self.on_teardown is not None:
             self.on_teardown(session)
         _dispose_quietly(session.instance)
-        if session.log is not None:
-            session.log.close()
+        session.log.close()
         self.ports.release(session.data_port)
         self.catalog.teardown(session.hub_id)
         session.state = SessionState.TORN_DOWN
-        self.sessions.pop(session.hub_id, None)
 
     def teardown_session(self, hub_id: str) -> None:
         with self._lock:
-            session = self.sessions.get(hub_id)
+            session = self.sessions.pop(hub_id, None)
             if session is None:
                 raise UnknownHub(f"no session for hub {hub_id!r}")
-            self._teardown_locked(session)
+            self._registering.add(hub_id)
+        try:
+            self._release(session)
+        finally:
+            with self._lock:
+                self._registering.discard(hub_id)
 
     def shutdown(self) -> None:
-        with self._lock:
-            for session in list(self.sessions.values()):
-                self._teardown_locked(session)
+        for hub_id in list(self.sessions):
+            with contextlib.suppress(UnknownHub):  # torn down meanwhile
+                self.teardown_session(hub_id)
 
     def get_session(self, hub_id: str) -> RegistrationSession:
         with self._lock:
@@ -477,7 +465,7 @@ class MiddlewareCore:
             out = io.StringIO()
             w = csv.writer(out)
             w.writerow(["hub_id", "sequence", "timestamp_ms", *session.instance.plan.field_names])
-            records = list(session.window_buffer)  # the loop appends while we read
+            records = list(session.window_buffer)
             if records:
                 newest = max(records, key=lambda r: r.sequence)
                 w.writerow(
@@ -507,91 +495,137 @@ class MiddlewareCore:
 
 # --- TCP shell ---------------------------------------------------------------
 
+# NACK codes by refusal; any other HubStreamError is NACK_MALFORMED.
+_NACK_CODES = {
+    UnknownHub: wire.NACK_UNKNOWN_HUB,
+    NoFreePort: wire.NACK_NO_FREE_PORT,
+    NameCollision: wire.NACK_NAME_COLLISION,
+}
+
+
+def _split(data, pos: int, shortest: int):
+    """Split the complete length-prefixed messages out of data from pos on.
+    Returns their bodies, the position of the first byte not split, and
+    whether a length below shortest or above wire.MAX_MESSAGE stopped there."""
+    bodies = []
+    end = len(data)
+    unpack_length = wire.U32.unpack_from
+    longest = wire.MAX_MESSAGE
+    while end - pos >= 4:
+        (length,) = unpack_length(data, pos)
+        if not shortest <= length <= longest:
+            return bodies, pos, True
+        stop = pos + 4 + length
+        if stop > end:
+            break
+        bodies.append(data[pos + 4 : stop])
+        pos = stop
+    return bodies, pos, False
+
+
+@dataclass(eq=False, slots=True)
 class _Port:
-    """One session's data port as the data plane sees it: the listening
-    socket, the connection being served (None while listening), the bytes
-    of that connection not yet split into frames, and, while accepting is
-    backed off, when to watch the listener again."""
+    """One session's data port as the loop sees it: the listening socket,
+    the connection being served (None while listening) and the bytes of
+    that connection not yet split into frames."""
 
-    __slots__ = ("session", "listener", "conn", "tail", "token_ok", "resume_at")
-
-    def __init__(self, session: RegistrationSession, listener: socket.socket):
-        self.session = session
-        self.listener = listener
-        self.conn: Optional[socket.socket] = None
-        self.tail = bytearray()
-        self.token_ok = False
-        self.resume_at: Optional[float] = None
+    session: RegistrationSession
+    listener: socket.socket
+    conn: Optional[socket.socket] = None
+    tail: bytearray = field(default_factory=bytearray)
+    token_ok: bool = False
 
 
-class _DataPlane:
-    """One thread and one selector serving every data port.
+@dataclass(eq=False, slots=True)
+class _Control:
+    """One control connection: the bytes not yet split into messages, the
+    messages not yet answered, the unsent part of a reply, and whether to
+    hang up once every reply is sent."""
 
-    Only the loop thread touches the selector and the ports.  Another
+    sock: socket.socket
+    tail: bytearray = field(default_factory=bytearray)
+    pending: deque = field(default_factory=deque)
+    out: bytearray = field(default_factory=bytearray)
+    hang_up: bool = False
+
+
+class MiddlewareServer:
+    """The network shell around a MiddlewareCore, served by one loop thread.
+
+    Only the loop thread touches the selector and the sockets.  Another
     thread hands work over with _call: the request is queued, a byte on
     the wakeup socketpair wakes the loop, and the loop runs queued requests
     after each round of events, so no request lands in the middle of one.
-    Requests are taken only while the loop runs, from start() until the
-    loop exits; after that, add refuses and drop has nothing left to do.
+    (On the loop thread itself, _call runs the request at once.)  Requests
+    are taken only while the loop runs, from start() until the loop exits.
     """
 
-    def __init__(self, core: MiddlewareCore):
-        self._core = core
+    def __init__(
+        self,
+        store_dir: str | os.PathLike,
+        strategy: Strategy = Strategy.DGCW,
+        host: str = "127.0.0.1",
+        control_port: int = DEFAULT_CONTROL_PORT,
+        port_range: tuple[int, int] = DEFAULT_DATA_PORTS,
+    ):
+        self.core = MiddlewareCore(store_dir, strategy, port_range)
+        # returns once the loop can no longer touch the session
+        self.core.on_teardown = lambda session: self._call(self._drop, session.data_port)
+        self.host = host
+        self._control = socket.create_server((host, control_port))
+        self._control.setblocking(False)
+        self.control_port = self._control.getsockname()[1]
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, (self._drain_wakeups, None))
+        self._selector.register(self._control, selectors.EVENT_READ, (self._accept_control, None))
         self._ports: dict[int, _Port] = {}  # by data port number
-        self._paused: deque = deque()  # ports whose accept is backed off, oldest first
+        self._paused: deque = deque()  # (resume time, key) of backed-off listeners, oldest first
         self._requests: deque = deque()
         self._requests_lock = threading.Lock()
         self._open = False  # requests are taken (guarded by _requests_lock)
         self._serving = True
-        self._thread = threading.Thread(target=self._run, name="data-plane", daemon=True)
+        self._thread = threading.Thread(target=self._run, name="server-loop", daemon=True)
 
     # --- called from other threads ---------------------------------------------
 
-    def start(self) -> None:
+    def start(self) -> "MiddlewareServer":
         self._open = True
         self._thread.start()
-
-    def add(self, session: RegistrationSession, listener: socket.socket) -> bool:
-        """Serve a bound, listening socket for the session from now on.
-        Returns False, having closed the socket, when the loop has stopped."""
-        if self._call(self._add, session, listener, wait=False):
-            return True
-        listener.close()
-        return False
-
-    def drop(self, session: RegistrationSession) -> None:
-        """Close the session's data port; returns once the loop can no
-        longer touch the session."""
-        self._call(self._drop, session.data_port, wait=True)
+        return self
 
     def stop(self) -> None:
-        if self._call(self._halt, wait=True):
+        """Stop the loop, tear every session down and close every socket,
+        held control connections included.  Stopping again does nothing."""
+        if self._call(self._halt):
             self._thread.join()
+        self.core.shutdown()
         for data_port in list(self._ports):
             self._drop(data_port)
+        watched = self._selector.get_map() or {}  # None once the selector is closed
+        for key in [*watched.values(), *(key for _, key in self._paused)]:
+            key.fileobj.close()
         self._selector.close()
-        self._wake_r.close()
         self._wake_w.close()
 
-    def _call(self, fn, *args, wait: bool) -> bool:
-        """Queue fn for the loop thread (and wait for it to run, if asked).
+    def _call(self, fn, *args) -> bool:
+        """Run fn on the loop thread and return once it has run: at once on
+        the loop thread itself, between two rounds of events from any other.
         Returns False, without running fn, when the loop is not running."""
-        done = threading.Event() if wait else None
+        if threading.current_thread() is self._thread:
+            fn(*args)
+            return True
+        done = threading.Event()
         with self._requests_lock:
             if not self._open:
                 return False
             self._requests.append((fn, args, done))
-            try:
+            # if the send would block, the socketpair is full of unread wakeups
+            with contextlib.suppress(BlockingIOError):
                 self._wake_w.send(b"\0")
-            except BlockingIOError:
-                pass  # the socketpair is full of wakeups the loop has yet to read
-        if done is not None:
-            done.wait()
+        done.wait()
         return True
 
     # --- the loop thread ---------------------------------------------------------
@@ -601,10 +635,11 @@ class _DataPlane:
             while self._serving:
                 timeout = None
                 if self._paused:
-                    timeout = max(0.0, self._paused[0].resume_at - time.monotonic())
+                    timeout = max(0.0, self._paused[0][0] - time.monotonic())
                 for key, _ in self._selector.select(timeout):
-                    handler, port = key.data
-                    handler(port)
+                    if key.fileobj.fileno() >= 0:  # not closed earlier in this round
+                        handler, target = key.data
+                        handler(target)
                 if self._paused:
                     self._resume_accepts()
                 if self._requests:
@@ -623,23 +658,39 @@ class _DataPlane:
             try:
                 fn(*args)
             finally:
-                if done is not None:
-                    done.set()
+                done.set()
 
     def _drain_wakeups(self, _) -> None:
-        try:
+        with contextlib.suppress(BlockingIOError):
             self._wake_r.recv(4096)
-        except BlockingIOError:
-            pass
 
     def _halt(self) -> None:
         self._serving = False
 
-    def _add(self, session: RegistrationSession, listener: socket.socket) -> None:
-        listener.setblocking(False)
-        port = _Port(session, listener)
-        self._ports[session.data_port] = port
-        self._selector.register(listener, selectors.EVENT_READ, (self._accept, port))
+    def _take(self, listener: socket.socket) -> Optional[socket.socket]:
+        """Accept one connection, non-blocking; None when there is none."""
+        try:
+            sock, _ = listener.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return None  # the connection went away before we took it
+        except OSError:
+            # out of descriptors, most likely: the listener would stay
+            # readable and the loop would spin on it, so stop watching it
+            # for a while; the connection waits in the backlog meanwhile
+            key = self._selector.unregister(listener)
+            self._paused.append((time.monotonic() + ACCEPT_BACKOFF_S, key))
+            return None
+        sock.setblocking(False)
+        return sock
+
+    def _resume_accepts(self) -> None:
+        now = time.monotonic()
+        while self._paused and self._paused[0][0] <= now:
+            _, key = self._paused.popleft()
+            if key.fileobj.fileno() >= 0:  # not closed meanwhile
+                self._selector.register(key.fileobj, key.events, key.data)
+
+    # --- data ports ----------------------------------------------------------------
 
     def _drop(self, data_port: int) -> None:
         port = self._ports.pop(data_port, None)
@@ -648,38 +699,18 @@ class _DataPlane:
         if port.conn is not None:
             self._selector.unregister(port.conn)
             port.conn.close()
-        elif port.resume_at is None:
+        elif port.listener in self._selector.get_map():  # not backed off
             self._selector.unregister(port.listener)
         port.listener.close()
 
-    def _accept(self, port: _Port) -> None:
-        try:
-            conn, _ = port.listener.accept()
-        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
-            return  # the connection went away before we took it
-        except OSError:
-            # out of descriptors, most likely: the listener would stay
-            # readable and the loop would spin on it, so stop watching it
-            # for a while; the connection waits in the backlog meanwhile
-            self._selector.unregister(port.listener)
-            port.resume_at = time.monotonic() + ACCEPT_BACKOFF_S
-            self._paused.append(port)
+    def _accept_data(self, port: _Port) -> None:
+        conn = self._take(port.listener)
+        if conn is None:
             return
-        conn.setblocking(False)
         # one connection at a time: the next one waits in the backlog
         self._selector.unregister(port.listener)
         port.conn = conn
         self._selector.register(conn, selectors.EVENT_READ, (self._read, port))
-
-    def _resume_accepts(self) -> None:
-        now = time.monotonic()
-        while self._paused and self._paused[0].resume_at <= now:
-            port = self._paused.popleft()
-            port.resume_at = None
-            if self._ports.get(port.session.data_port) is port:  # not dropped meanwhile
-                self._selector.register(
-                    port.listener, selectors.EVENT_READ, (self._accept, port)
-                )
 
     def _hang_up(self, port: _Port) -> None:
         self._selector.unregister(port.conn)
@@ -687,7 +718,7 @@ class _DataPlane:
         port.conn = None
         port.tail.clear()
         port.token_ok = False
-        self._selector.register(port.listener, selectors.EVENT_READ, (self._accept, port))
+        self._selector.register(port.listener, selectors.EVENT_READ, (self._accept_data, port))
 
     def _read(self, port: _Port) -> None:
         try:
@@ -720,28 +751,14 @@ class _DataPlane:
                 return
             port.token_ok = True
             pos = wire.TOKEN_LEN
-        bodies = []
-        end = len(data)
-        unpack_length = wire.U32.unpack_from
-        shortest, longest = wire.FRAME_HEADER.size, wire.MAX_MESSAGE
-        bad_length = False
-        while end - pos >= 4:
-            (length,) = unpack_length(data, pos)
-            if not shortest <= length <= longest:
-                bad_length = True
-                break
-            stop = pos + 4 + length
-            if stop > end:
-                break
-            bodies.append(data[pos + 4 : stop])
-            pos = stop
+        bodies, pos, bad_length = _split(data, pos, wire.FRAME_HEADER.size)
         if data is tail:
             del tail[:pos]
         else:
             tail += chunk[pos:]
         if bodies:
             try:
-                self._core.ingest_batch(session, bodies)
+                self.core.ingest_batch(session, bodies)
             except Exception:
                 # the record log could not be written, or a fault no typed
                 # decode error covers: drop this connection, not the loop
@@ -754,113 +771,89 @@ class _DataPlane:
             session.bad_lengths += 1
             self._hang_up(port)
 
+    # --- control connections ---------------------------------------------------------
 
-class MiddlewareServer:
-    """Control listener and data plane around a MiddlewareCore."""
+    def _accept_control(self, _) -> None:
+        sock = self._take(self._control)
+        if sock is not None:
+            self._selector.register(sock, selectors.EVENT_READ, (self._on_control, _Control(sock)))
 
-    def __init__(
-        self,
-        store_dir: str | os.PathLike,
-        strategy: Strategy = Strategy.DGCW,
-        host: str = "127.0.0.1",
-        control_port: int = DEFAULT_CONTROL_PORT,
-        port_range: tuple[int, int] = DEFAULT_DATA_PORTS,
-    ):
-        self.core = MiddlewareCore(store_dir, strategy, port_range)
-        self.host = host
-        self._data_plane = _DataPlane(self.core)
-        self.core.on_teardown = self._data_plane.drop
-        self._closing = threading.Event()
-        self._control = socket.create_server((host, control_port))
-        self.control_port = self._control.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="control-accept", daemon=True
-        )
-
-    def start(self) -> "MiddlewareServer":
-        self._data_plane.start()
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
+    def _on_control(self, conn: _Control) -> None:
+        """Read control messages, then answer them one at a time, each reply
+        sent before the next message is answered.  Until a reply has gone
+        out the socket is watched for writing, not reading, so a client
+        that does not read its replies holds one reply and one read."""
+        if not conn.out:
             try:
-                conn, _ = self._control.accept()
+                chunk = conn.sock.recv(RECV_BYTES)
+            except BlockingIOError:
+                return
             except OSError:
-                break  # stop() shut the listener down
-            threading.Thread(
-                target=self._serve_control, args=(conn,), name="control-conn", daemon=True
-            ).start()
-
-    def _serve_control(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._closing.is_set():
+                chunk = b""  # reset by the peer: same as a close
+            if not chunk:
+                self._close_control(conn)
+                return
+            conn.tail += chunk
+            messages, pos, conn.hang_up = _split(conn.tail, 0, 1)
+            del conn.tail[:pos]
+            conn.pending += messages
+            if conn.hang_up:
+                conn.pending.append(None)  # refused, then the connection closes
+        while conn.out or conn.pending:
+            if not conn.out:
                 try:
-                    opcode, payload = wire.read_message(conn)
-                except (wire.ConnectionClosed, OSError):
+                    conn.out += self._answer(conn.pending.popleft())
+                except Exception:
+                    _log.exception("a control request failed; dropping its connection")
+                    self._close_control(conn)
                     return
-                except MalformedDocument as exc:
-                    self._nack(conn, wire.NACK_MALFORMED, str(exc))
-                    return
-                try:
-                    if opcode == wire.OP_REGISTER:
-                        self._handle_register(conn, payload)
-                    elif opcode == wire.OP_STATUS:
-                        kind, hub_id = wire.unpack_status(payload)
-                        text = self.core.status_query(kind, hub_id)
-                        wire.write_message(
-                            conn, wire.OP_STATUS_OK, text.encode("utf-8")
-                        )
-                    else:
-                        self._nack(conn, wire.NACK_MALFORMED, f"bad opcode {opcode:#x}")
-                except UnknownHub as exc:
-                    self._nack(conn, wire.NACK_UNKNOWN_HUB, str(exc))
-                except NoFreePort as exc:
-                    self._nack(conn, wire.NACK_NO_FREE_PORT, str(exc))
-                except NameCollision as exc:
-                    self._nack(conn, wire.NACK_NAME_COLLISION, str(exc))
-                except HubStreamError as exc:
-                    # document and schema defects, plus anything typed we
-                    # did not map more specifically
-                    self._nack(conn, wire.NACK_MALFORMED, str(exc))
+            try:
+                sent = conn.sock.send(conn.out)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                self._close_control(conn)
+                return
+            del conn.out[:sent]
+            if conn.out:
+                self._selector.modify(conn.sock, selectors.EVENT_WRITE, (self._on_control, conn))
+                return
+        if conn.hang_up:
+            self._close_control(conn)
+        else:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, (self._on_control, conn))
 
-    def _handle_register(self, conn: socket.socket, payload: bytes) -> None:
+    def _close_control(self, conn: _Control) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _answer(self, message: Optional[bytearray]) -> bytes:
+        """The framed reply to one control message (None: a bad length)."""
+        try:
+            if message is None:
+                raise MalformedDocument("control message length out of range")
+            opcode, payload = message[0], bytes(message[1:])
+            if opcode == wire.OP_REGISTER:
+                return wire.pack_message(wire.OP_ASSIGN, self._register(payload))
+            if opcode == wire.OP_STATUS:
+                text = self.core.status_query(*wire.unpack_status(payload))
+                return wire.pack_message(wire.OP_STATUS_OK, text.encode("utf-8"))
+            raise MalformedDocument(f"bad opcode {opcode:#x}")
+        except HubStreamError as exc:
+            code = _NACK_CODES.get(type(exc), wire.NACK_MALFORMED)
+            return wire.pack_message(wire.OP_NACK, wire.pack_nack(code, str(exc)))
+
+    def _register(self, payload: bytes) -> bytes:
+        """Register, bind the data port and serve it; returns ASSIGN's payload."""
         raw, reregister = wire.unpack_register(payload)
-        config = self.core.handle_register(raw, reregister=reregister)
-        session = self.core.get_session_by_token(config.session_token)
+        assign = self.core.handle_register(raw, reregister=reregister)
+        session = self.core.get_session_by_token(assign.token)
         try:
-            listener = socket.create_server((self.host, config.data_port))
+            listener = socket.create_server((self.host, assign.data_port))
         except OSError:
             self.core.teardown_session(session.hub_id)
-            raise NoFreePort(f"cannot bind data port {config.data_port}")
-        if not self._data_plane.add(session, listener):
-            self.core.teardown_session(session.hub_id)
-            raise NoFreePort("the server is stopping")
-        wire.write_message(
-            conn,
-            wire.OP_ASSIGN,
-            wire.pack_assign(
-                config.data_port,
-                config.session_token,
-                config.wrapper_name,
-                config.field_layout,
-            ),
-        )
-
-    def _nack(self, conn: socket.socket, code: int, message: str) -> None:
-        try:
-            wire.write_message(conn, wire.OP_NACK, wire.pack_nack(code, message))
-        except OSError:
-            pass
-
-    def stop(self) -> None:
-        self._closing.set()
-        try:
-            # wakes the blocked accept, which then fails
-            self._control.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5)
-        self._control.close()
-        self.core.shutdown()
-        self._data_plane.stop()
+            raise NoFreePort(f"cannot bind data port {assign.data_port}")
+        listener.setblocking(False)
+        port = self._ports[assign.data_port] = _Port(session, listener)
+        self._selector.register(listener, selectors.EVENT_READ, (self._accept_data, port))
+        return wire.pack_assign(assign.data_port, assign.token, assign.wrapper_name, assign.field_layout)

@@ -69,6 +69,7 @@ __all__ = [
     "FRAME_HEADER",
     "recv_exact",
     "read_message",
+    "pack_message",
     "write_message",
     "pack_register",
     "unpack_register",
@@ -137,8 +138,12 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 # --- control channel -------------------------------------------------------
 
+def pack_message(opcode: int, payload: bytes) -> bytes:
+    return U32.pack(1 + len(payload)) + bytes([opcode]) + payload
+
+
 def write_message(sock: socket.socket, opcode: int, payload: bytes) -> None:
-    sock.sendall(U32.pack(1 + len(payload)) + bytes([opcode]) + payload)
+    sock.sendall(pack_message(opcode, payload))
 
 
 def read_message(sock: socket.socket) -> tuple[int, bytes]:

@@ -9,8 +9,10 @@ import time
 
 import pytest
 
+from hubstream import server as server_module
 from hubstream import wire
 from hubstream.errors import (
+    FrameTooShort,
     MalformedDocument,
     NameCollision,
     NoFreePort,
@@ -77,7 +79,7 @@ class TestRegistration:
         assert 7100 <= config.data_port <= 7110
         assert config.wrapper_name.startswith("dgcw_")
         assert [n for n, _ in config.field_layout] == [n for n, _ in EIGHT]
-        assert len(config.session_token) == 16
+        assert len(config.token) == 16
         session = core.get_session("hub_a")
         assert session.state is SessionState.ACTIVE
         assert session.instance.state is LifecycleState.RUNNING
@@ -118,7 +120,7 @@ class TestRegistration:
 
     def test_reregister_unknown_hub_is_fresh_register(self, tmp_path):
         core = MiddlewareCore(tmp_path)
-        config = core.handle_reregister(doc_bytes(SMALL))
+        config = core.handle_register(doc_bytes(SMALL), reregister=True)
         assert core.get_session("hub_a").state is SessionState.ACTIVE
         assert config.data_port
 
@@ -340,6 +342,19 @@ class TestIngest:
         ]
         assert replayed == originals
 
+    @pytest.mark.parametrize("torn", [b"\x00" * 5, RecordLog.ARRIVAL.pack(9) + wire.U32.pack(40)])
+    def test_torn_tail_raises_typed_after_every_complete_entry(self, tmp_path, torn):
+        path = tmp_path / "hub.log"
+        log = RecordLog(path)
+        log.append(7, b"a" * 16, b"b" * 20)
+        log.close()
+        path.write_bytes(path.read_bytes() + torn)
+        entries = RecordLog.replay(path)
+        assert next(entries) == (7, b"a" * 16)
+        assert next(entries) == (7, b"b" * 20)
+        with pytest.raises(FrameTooShort):
+            next(entries)
+
 
 class TestStatus:
     def test_empty_list(self, tmp_path):
@@ -430,7 +445,7 @@ def test_stop_is_prompt_after_a_registration(tmp_path):
         srv.stop()
         elapsed = time.perf_counter() - t0
     assert elapsed < 0.05
-    assert not any(t.name == "control-accept" for t in threading.enumerate())
+    assert not any(t.name == "server-loop" for t in threading.enumerate())
 
 
 class TestTcp:
@@ -597,12 +612,6 @@ class TestTcp:
         assert "hub_a,active" in payload.decode()
 
     def test_thread_count_does_not_grow_with_hubs(self, server):
-        def settled_thread_count():
-            assert wait_until(
-                lambda: not any(t.name == "control-conn" for t in threading.enumerate())
-            )
-            return threading.active_count()
-
         def register_and_stream(hub):
             opcode, assign = register_over_tcp(server, SMALL, hub=hub)
             assert opcode == wire.OP_ASSIGN
@@ -613,13 +622,13 @@ class TestTcp:
 
         conns = [register_and_stream("hub_0")]
         try:
-            with_one = settled_thread_count()
+            with_one = threading.active_count()
             conns += [register_and_stream(f"hub_{i}") for i in range(1, 20)]
             assert wait_until(
                 lambda: all(s.records_decoded == 1 for s in server.core.sessions.values())
             )
             assert len(server.core.sessions) == 20
-            assert settled_thread_count() == with_one
+            assert threading.active_count() == with_one
         finally:
             for conn in conns:
                 conn.close()
@@ -660,14 +669,6 @@ class TestTcp:
         assert server.core.ports.active_count() == 0
         assert server.core.catalog.live("hub_a") is None
         assert register_over_tcp(server, SMALL)[0] == wire.OP_ASSIGN
-
-    def test_registration_once_the_data_plane_stopped_is_refused(self, server):
-        server._data_plane.stop()
-        opcode, (code, _) = register_over_tcp(server, SMALL)
-        assert (opcode, code) == (wire.OP_NACK, wire.NACK_NO_FREE_PORT)
-        assert server.core.sessions == {}
-        assert server.core.ports.active_count() == 0
-        assert server.core.catalog.live("hub_a") is None
 
     def test_status_beside_full_rate_stream(self, server):
         _, assign = register_over_tcp(server, SMALL)
@@ -795,3 +796,178 @@ class TestTcp:
             assert wait_until(lambda: session.records_decoded == 2)
         logged = [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
         assert logged == [big, small]
+
+    def status_round_trip(self, sock, kind=STATUS_LIST, hub_id=""):
+        wire.write_message(sock, wire.OP_STATUS, wire.pack_status(kind, hub_id))
+        return wire.read_message(sock)
+
+    def test_thread_count_does_not_grow_with_control_connections(self, server):
+        with_none = threading.active_count()
+        held = []
+        try:
+            for count in (1, 50):
+                while len(held) < count:
+                    held.append(control_connect(server))
+                for sock in held:  # every connection is being served
+                    assert self.status_round_trip(sock)[0] == wire.OP_STATUS_OK
+                assert threading.active_count() == with_none
+        finally:
+            for sock in held:
+                sock.close()
+
+    def test_stop_closes_held_control_connections(self, server):
+        held = [control_connect(server) for _ in range(2)]
+        try:
+            for sock in held:
+                assert self.status_round_trip(sock)[0] == wire.OP_STATUS_OK
+            server.stop()
+            assert not any(t.name == "server-loop" for t in threading.enumerate())
+            for sock in held:
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            # nothing answers a message sent after stop()
+            try:
+                wire.write_message(held[0], wire.OP_STATUS, wire.pack_status(STATUS_LIST))
+                assert held[0].recv(1) == b""
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+        finally:
+            for sock in held:
+                sock.close()
+
+    def test_pipelined_and_dribbled_messages_are_answered_in_order(self, server):
+        with control_connect(server) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(
+                wire.pack_message(wire.OP_STATUS, wire.pack_status(STATUS_LIST))
+                + wire.pack_message(wire.OP_STATUS, wire.pack_status(STATUS_LATEST, "ghost"))
+            )
+            register = wire.pack_message(wire.OP_REGISTER, wire.pack_register(doc_bytes(SMALL)))
+            for i in range(len(register)):
+                sock.sendall(register[i : i + 1])
+                time.sleep(0.0005)
+            replies = [wire.read_message(sock) for _ in range(3)]
+        assert [opcode for opcode, _ in replies] == [
+            wire.OP_STATUS_OK, wire.OP_NACK, wire.OP_ASSIGN
+        ]
+        assert replies[0][1].decode().splitlines() == ["hub_id,state,records_decoded,fingerprint"]
+        assert wire.unpack_nack(replies[1][1])[0] == wire.NACK_UNKNOWN_HUB
+        assert wire.unpack_assign(replies[2][1]).token == server.core.get_session("hub_a").token
+
+    def test_reregistration_closes_the_open_data_connection(self, server):
+        _, assign = register_over_tcp(server, SMALL)
+        old = server.core.get_session("hub_a")
+        body = reference_frame(SMALL, [1.0, "x"], 0, 0)
+        with socket.create_connection(("127.0.0.1", assign.data_port), timeout=5) as data:
+            data.sendall(assign.token + wire.U32.pack(len(body)) + body)
+            assert wait_until(lambda: old.records_decoded == 1)
+            opcode, again = register_over_tcp(server, EIGHT, reregister=True)
+            assert opcode == wire.OP_ASSIGN
+            try:
+                assert data.recv(1) == b""
+            except ConnectionResetError:
+                pass
+        assert old.state is SessionState.TORN_DOWN
+        fresh = server.core.get_session("hub_a")
+        body = reference_frame(EIGHT, [float(i) for i in range(8)], 0, 0)
+        with socket.create_connection(("127.0.0.1", again.data_port), timeout=5) as data:
+            data.sendall(again.token + wire.U32.pack(len(body)) + body)
+            assert wait_until(lambda: fresh.records_decoded == 1)
+
+    @pytest.mark.parametrize("bad_length", [0, wire.MAX_MESSAGE + 1])
+    def test_bad_control_length_nacks_then_closes(self, server, bad_length):
+        with control_connect(server) as sock:
+            sock.sendall(
+                wire.pack_message(wire.OP_STATUS, wire.pack_status(STATUS_LIST))
+                + wire.U32.pack(bad_length)
+            )
+            assert wire.read_message(sock)[0] == wire.OP_STATUS_OK
+            opcode, payload = wire.read_message(sock)
+            assert opcode == wire.OP_NACK
+            assert wire.unpack_nack(payload)[0] == wire.NACK_MALFORMED
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass
+
+    def test_client_that_does_not_read_its_replies_stalls_nothing(self, server):
+        wide = [(f"w{i}", ValueType.STRING) for i in range(256)]
+        _, assign_wide = register_over_tcp(server, wide, hub="wide")
+        _, assign_b = register_over_tcp(server, SMALL, hub="hub_b")
+        wide_frame = reference_frame(wide, ["v" * 1000] * 256, 0, 0)
+        with socket.create_connection(("127.0.0.1", assign_wide.data_port), timeout=5) as data:
+            data.sendall(assign_wide.token + wire.U32.pack(len(wide_frame)) + wide_frame)
+            wide_session = server.core.get_session("wide")
+            assert wait_until(lambda: wide_session.records_decoded == 1)
+        # even requests ask for the wide hub (a ~257 KB reply each, 25 MB in
+        # all, more than the socket buffers hold), odd ones for a hub that
+        # does not exist, so the order of the replies shows
+        requests = [("wide" if i % 2 == 0 else f"ghost_{i}") for i in range(200)]
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10)
+        with sock:
+            sock.connect(("127.0.0.1", server.control_port))
+            sock.sendall(b"".join(
+                wire.pack_message(wire.OP_STATUS, wire.pack_status(STATUS_LATEST, hub))
+                for hub in requests
+            ))
+            hub_b = server.core.get_session("hub_b")
+            self.stream(assign_b, 0, 50)
+            assert wait_until(lambda: hub_b.records_decoded == 50)
+            for i, hub in enumerate(requests):
+                opcode, payload = wire.read_message(sock)
+                if hub == "wide":
+                    assert opcode == wire.OP_STATUS_OK
+                    assert payload.decode().splitlines()[1].startswith("wide,0,0,")
+                else:
+                    assert opcode == wire.OP_NACK
+                    assert f"'{hub}'" in wire.unpack_nack(payload)[1]
+
+    def test_teardown_from_another_thread_beside_a_registration(self, tmp_path, monkeypatch):
+        """A registration on the loop thread takes the core's lock while
+        another thread tears a session down and waits for the loop to
+        close its port: neither may wait for the other."""
+        srv = MiddlewareServer(
+            tmp_path, Strategy.DGCW, control_port=0, port_range=(17100, 17140)
+        ).start()
+        stuck = False
+        try:
+            assert register_over_tcp(srv, SMALL, hub="hub_a")[0] == wire.OP_ASSIGN
+            parsing, in_hook = threading.Event(), threading.Event()
+            drop = srv.core.on_teardown
+
+            def hook(session):
+                in_hook.set()
+                drop(session)
+
+            def parse(raw):
+                parsing.set()
+                in_hook.wait(5)  # let the teardown reach the hook first
+                return real_parse(raw)
+
+            real_parse = server_module.parse_musdd
+            monkeypatch.setattr(server_module, "parse_musdd", parse)
+            srv.core.on_teardown = hook
+            replies = []
+            registering = threading.Thread(
+                target=lambda: replies.append(register_over_tcp(srv, SMALL, hub="hub_b")),
+                daemon=True,
+            )
+            registering.start()
+            assert parsing.wait(5)
+            teardown = threading.Thread(
+                target=srv.core.teardown_session, args=("hub_a",), daemon=True
+            )
+            teardown.start()
+            teardown.join(10)
+            registering.join(10)
+            stuck = teardown.is_alive() or registering.is_alive()
+            assert not stuck
+            assert replies[0][0] == wire.OP_ASSIGN
+            assert set(srv.core.sessions) == {"hub_b"}
+        finally:
+            if not stuck:  # stop() would wait for a stuck loop too
+                srv.stop()
