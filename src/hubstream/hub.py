@@ -5,9 +5,11 @@ A hub owns a set of sensor plugins.  It synthesizes its self-description
 from their descriptors (in registration order), registers with the
 middleware, and then samples each plugin on its declared period.  Samples
 due at the same instant are batched into one frame; schema fields not due
-or unavailable at that instant are encoded as nulls.  Frames flow through
-a bounded queue to a sender thread, so a slow network stalls nothing and
-overflow drops the oldest frame (counted) rather than blocking sampling.
+or unavailable at that instant are encoded as nulls.  One thread runs a
+session: the sampling loop writes its own frames to a non-blocking socket.
+Frames wait in a bounded queue, and whenever no bytes are unsent, all of
+them go out as one buffer, so a slow network stalls nothing and overflow
+drops the oldest frame (counted) rather than blocking sampling.
 
 Fault posture, mirroring the null-tolerance policy:
 
@@ -27,6 +29,7 @@ debounce behavior on a simulated timeline.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
@@ -72,6 +75,7 @@ KEYFRAME_EVERY = 100
 BACKOFF_BASE_MS = 500
 BACKOFF_CAP_MS = 30_000
 QUEUE_CAPACITY = 1024
+STALL_S = 10.0  # unsent bytes the data socket takes none of for this long end a session
 
 
 # --- time ---------------------------------------------------------------------
@@ -394,42 +398,6 @@ class StreamEncoder:
         return self._encode(sequence, timestamp_ms, row)
 
 
-class _SendQueue:
-    """Bounded frame queue between scheduler and sender.  Overflow evicts
-    the oldest frame and counts it."""
-
-    def __init__(self, capacity: int):
-        self._capacity = capacity
-        self._items: deque[bytes] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self.dropped_oldest = 0
-
-    def push(self, frame: bytes) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            if len(self._items) >= self._capacity:
-                self._items.popleft()
-                self.dropped_oldest += 1
-            self._items.append(frame)
-            self._cond.notify()
-
-    def pop(self) -> Optional[bytes]:
-        """Next frame, or None once closed and drained."""
-        with self._cond:
-            while not self._items and not self._closed:
-                self._cond.wait()
-            if self._items:
-                return self._items.popleft()
-            return None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-
 # --- the hub -----------------------------------------------------------------------
 
 class _PluginSlot:
@@ -450,7 +418,6 @@ class SensorHub:
         grace_policy: GracePolicy | None = None,
         clock: Clock | None = None,
         context: HubContext | None = None,
-        queue_capacity: int = QUEUE_CAPACITY,
     ):
         self.hub_id = hub_id
         self.server_address = server_address
@@ -458,7 +425,6 @@ class SensorHub:
         self.grace_policy = grace_policy or GracePolicy()
         self.clock = clock or RealClock()
         self.context = context
-        self.queue_capacity = queue_capacity
 
         self._slots: dict[str, _PluginSlot] = {}
         self._order: list[str] = []
@@ -533,7 +499,8 @@ class SensorHub:
         self._stop.set()
         self._wake.set()
         if self._thread is not None:
-            self._thread.join(timeout=10)
+            # a session's flush ends within STALL_S
+            self._thread.join(timeout=STALL_S + 1)
         with self._lock:
             slots = list(self._slots.values())
         for slot in slots:
@@ -579,7 +546,7 @@ class SensorHub:
             self.registration_count += 1
             try:
                 data_sock = socket.create_connection(
-                    (self.server_address[0], assign.data_port), timeout=10
+                    (self.server_address[0], assign.data_port), timeout=STALL_S
                 )
             except OSError:
                 self._backoff(attempt)
@@ -627,34 +594,18 @@ class SensorHub:
             raise ServerUnreachable(f"unexpected reply opcode {opcode:#x}")
         return wire.unpack_assign(payload)
 
-    def _sender_loop(self, sock: socket.socket, queue: _SendQueue, broken: threading.Event) -> None:
-        while True:
-            frame = queue.pop()
-            if frame is None:
-                return
-            try:
-                sock.sendall(frame)
-            except OSError:
-                broken.set()
-                self._wake.set()
-                return
-            self.frames_sent += 1
-
     def _run_session(self, assign, data_sock: socket.socket, applied_epoch: int) -> None:
-        layout = assign.field_layout
-        encoder = StreamEncoder(layout)
-        engine = FilterEngine(self.filter_policy, layout)
-        queue = _SendQueue(self.queue_capacity)
-        broken = threading.Event()
-        sender = threading.Thread(
-            target=self._sender_loop,
-            args=(data_sock, queue, broken),
-            name=f"sender-{self.hub_id}",
-            daemon=True,
-        )
-        sender.start()
+        """Sample, filter, encode and send on this thread until stopped or a
+        re-registration is due, then flush what is queued.
 
-        layout_names = {name for name, _ in layout}
+        The socket is non-blocking.  Frames wait in a drop-oldest queue;
+        whenever no bytes are unsent, every queued frame is joined into one
+        buffer, and each pass tries one send.  A send error, or unsent bytes
+        of which the socket takes none for STALL_S, raise OSError and end
+        the session."""
+        encoder = StreamEncoder(assign.field_layout)
+        engine = FilterEngine(self.filter_policy, assign.field_layout)
+        layout_names = {name for name, _ in assign.field_layout}
         with self._lock:
             slots = {
                 pid: self._slots[pid]
@@ -663,75 +614,90 @@ class SensorHub:
             }
         for slot in slots.values():
             slot.absent_since = None
-        periods = {
-            pid: slot.descriptor.sensor.sample_period_ms for pid, slot in slots.items()
-        }
-        names = {pid: slot.descriptor.sensor.name for pid, slot in slots.items()}
-        start_ms = self.clock.now_ms()
-        next_due = {pid: start_ms for pid in slots}
-        active = set(slots)
+        next_due = dict.fromkeys(slots, self.clock.now_ms())
         sequence = 0
         tick = 0
 
-        try:
-            while True:
-                self._wake.clear()
-                if self._stop.is_set() or broken.is_set():
-                    return
-                now = self.clock.now_ms()
-                with self._lock:
-                    epoch = self._schema_epoch
-                    changed_at = self._epoch_changed_at
-                if epoch != applied_epoch and now >= changed_at + DEBOUNCE_MS:
-                    return  # re-register with the new schema
+        queue: deque[bytes] = deque(maxlen=QUEUE_CAPACITY)
+        unsent = memoryview(b"")
+        unsent_frames = 0
+        stall_at = 0.0  # time.monotonic() by which the socket must take a byte
 
-                due = {pid for pid in active if next_due[pid] <= now}
-                if due:
-                    row = {}
-                    expired = []
-                    for pid, slot in slots.items():
-                        name = names[pid]
-                        if pid not in active:
-                            row[name] = None
-                            continue
-                        if pid not in due:
-                            row[name] = None
-                            continue
-                        value = self._sample(slot)
-                        row[name] = value
-                        if value is None:
-                            if slot.absent_since is None:
-                                slot.absent_since = now
-                            elif now - slot.absent_since >= self.grace_policy.null_grace_ms:
-                                expired.append(pid)
-                        else:
-                            slot.absent_since = None
-                    out = engine.process(tick, row)
-                    tick += 1
-                    if out is not None:
-                        frame = encoder.encode(sequence, now, out)
-                        sequence += 1
-                        queue.push(frame)
-                        self.frames_enqueued += 1
-                    for pid in due:
-                        next_due[pid] += periods[pid]
-                    for pid in expired:
-                        active.discard(pid)
+        def send() -> None:
+            nonlocal unsent, unsent_frames, stall_at
+            if not unsent:
+                if not queue:
+                    return
+                unsent, unsent_frames = memoryview(b"".join(queue)), len(queue)
+                queue.clear()
+                stall_at = time.monotonic() + STALL_S
+            try:
+                taken = data_sock.send(unsent)
+            except BlockingIOError:
+                taken = 0
+            if taken:
+                unsent = unsent[taken:]
+                stall_at = time.monotonic() + STALL_S
+                if not unsent:
+                    self.frames_sent += unsent_frames
+            elif time.monotonic() >= stall_at:
+                raise TimeoutError(f"data connection took no byte for {STALL_S:g} s")
+
+        data_sock.setblocking(False)
+        while not self._stop.is_set():
+            self._wake.clear()
+            now = self.clock.now_ms()
+            with self._lock:
+                epoch = self._schema_epoch
+                changed_at = self._epoch_changed_at
+            if epoch != applied_epoch and now >= changed_at + DEBOUNCE_MS:
+                break  # re-register with the new schema
+
+            due = [pid for pid in slots if next_due[pid] <= now]
+            if due:
+                row = {}
+                for pid in due:
+                    slot = slots[pid]
+                    sensor = slot.descriptor.sensor
+                    next_due[pid] += sensor.sample_period_ms
+                    value = row[sensor.name] = self._sample(slot)
+                    if value is not None:
+                        slot.absent_since = None
+                    elif slot.absent_since is None:
+                        slot.absent_since = now
+                    elif now - slot.absent_since >= self.grace_policy.null_grace_ms:
+                        del slots[pid]
                         try:
                             self.remove_plugin(pid)
                         except UnknownPlugin:
                             pass
+                out = engine.process(tick, row)
+                tick += 1
+                if out is not None:
+                    if len(queue) == queue.maxlen:
+                        self.queue_dropped += 1
+                    queue.append(encoder.encode(sequence, now, out))
+                    sequence += 1
+                    self.frames_enqueued += 1
+            send()
 
-                deadlines = [next_due[pid] for pid in active]
-                if epoch != applied_epoch:
-                    deadlines.append(changed_at + DEBOUNCE_MS)
-                if not deadlines:
-                    deadlines.append(self.clock.now_ms() + 250)
-                self.clock.wait_until(min(deadlines), self._wake)
-        finally:
-            queue.close()
-            sender.join(timeout=10)
-            self.queue_dropped += queue.dropped_oldest
+            deadlines = [next_due[pid] for pid in slots]
+            if epoch != applied_epoch:
+                deadlines.append(changed_at + DEBOUNCE_MS)
+            if unsent or queue or not deadlines:
+                deadlines.append(self.clock.now_ms() + 250)
+            self.clock.wait_until(min(deadlines), self._wake)
+
+        # the flush keeps the stall deadline as it stands: progress no longer
+        # moves it, so the session ends at most STALL_S from now
+        deadline = stall_at if unsent else time.monotonic() + STALL_S
+        send()
+        while unsent or queue:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"data connection took no flush in {STALL_S:g} s")
+            select.select((), (data_sock,), (), remaining)
+            send()
 
     def _sample(self, slot: _PluginSlot):
         try:

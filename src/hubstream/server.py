@@ -174,6 +174,14 @@ class PortAllocator:
                 self._taken.remove(port)
                 self._free.append(port)
 
+    def defer(self, port: int) -> None:
+        """Hand a free port out again only after every other free port (its
+        bind failed: something else holds it)."""
+        with self._lock:
+            if port in self._free:
+                self._free.remove(port)
+                self._free.insert(0, port)
+
     def active_count(self) -> int:
         with self._lock:
             return len(self._taken)
@@ -234,7 +242,6 @@ class RegistrationSession:
     data_port: int
     instance: WrapperInstance
     token: bytes
-    created_at: float
     state: SessionState = SessionState.CONFIGURING
     cache_hit: bool = False
     configuration_time_ms: float = 0.0
@@ -333,7 +340,6 @@ class MiddlewareCore:
                 data_port=port,
                 instance=instance,
                 token=secrets.token_bytes(wire.TOKEN_LEN),
-                created_at=time.time(),
                 cache_hit=cache_hit,
             )
             session.log = RecordLog(self.store_dir / "data" / f"{doc.hub_id}.log")
@@ -852,6 +858,7 @@ class MiddlewareServer:
             listener = socket.create_server((self.host, assign.data_port))
         except OSError:
             self.core.teardown_session(session.hub_id)
+            self.core.ports.defer(assign.data_port)
             raise NoFreePort(f"cannot bind data port {assign.data_port}")
         listener.setblocking(False)
         port = self._ports[assign.data_port] = _Port(session, listener)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
+from . import wire
 from .errors import BadSpec
 from .hub import Clock, PluginDescriptor, RealClock, SensorPlugin
 from .sdd import IDENTIFIER_RE, SensorDescriptor, ValueType
@@ -338,8 +339,6 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _STATE = struct.Struct(">dQ")  # current position/phase, samples taken
 
-_TYPE_CODE = {ValueType.INT: 1, ValueType.DOUBLE: 2, ValueType.STRING: 3}
-
 
 def serialize_plugin_bundle(specs: list[SimSpec]) -> bytes:
     """Pack plugins into one storable library blob.
@@ -365,7 +364,7 @@ def serialize_plugin_bundle(specs: list[SimSpec]) -> bytes:
             _KIND_ENTRY.pack(kinds.index(spec.kind)),
             _U16.pack(len(name)),
             name,
-            bytes([_TYPE_CODE[spec.value_type]]),
+            bytes([wire.TYPE_CODE[spec.value_type]]),
             _U32.pack(spec.period_ms),
             struct.pack(">q", spec.seed),
             struct.pack(">ddd", spec.mean, spec.amplitude, spec.step),

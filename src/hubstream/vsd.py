@@ -191,6 +191,14 @@ def serialize_vsd(vsd: VirtualSensorDefinition) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _int_attr(element, key: str) -> int:
+    text = element.attrib[key]
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaViolation(f"<{element.tag}> {key} must be an integer, got {text!r}") from None
+
+
 def parse_vsd(data: bytes) -> VirtualSensorDefinition:
     try:
         root = ET.fromstring(data.decode("utf-8"))
@@ -229,11 +237,9 @@ def parse_vsd(data: bytes) -> VirtualSensorDefinition:
                     (agg.attrib["field"], Aggregate.from_keyword(agg.attrib["op"]))
                 )
             if set(child.attrib) == {"window_count"}:
-                query = WindowQuery(tuple(aggregates), count=int(child.attrib["window_count"]))
+                query = WindowQuery(tuple(aggregates), count=_int_attr(child, "window_count"))
             elif set(child.attrib) == {"window_ms"}:
-                query = WindowQuery(
-                    tuple(aggregates), duration_ms=int(child.attrib["window_ms"])
-                )
+                query = WindowQuery(tuple(aggregates), duration_ms=_int_attr(child, "window_ms"))
             else:
                 raise SchemaViolation("<query> takes window_count or window_ms")
         else:

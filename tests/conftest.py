@@ -4,18 +4,22 @@ import threading
 import pytest
 
 
-def _server_loops():
-    return {t for t in threading.enumerate() if t.name == "server-loop"}
+def _service_threads():
+    return {
+        t for t in threading.enumerate() if t.name == "server-loop" or t.name.startswith("hub-")
+    }
 
 
 @pytest.fixture(autouse=True)
-def no_server_loop_left():
-    """Fail a test that leaves a MiddlewareServer's loop thread running."""
-    before = _server_loops()
+def no_service_thread_left():
+    """Fail a test that leaves a MiddlewareServer's loop thread or a
+    SensorHub's thread running."""
+    before = _service_threads()
     yield
-    left = _server_loops() - before
+    left = _service_threads() - before
     if left:
-        pytest.fail(f"{len(left)} server-loop thread(s) still running after the test")
+        names = ", ".join(sorted(t.name for t in left))
+        pytest.fail(f"thread(s) still running after the test: {names}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
-"""Hub-side behavior: schema synthesis, filtering, frame encoding, the
-send queue, and full sessions against a live server (simulated clock for
-the grace and debounce policies, real clock for a streaming smoke run).
+"""Hub-side behavior: schema synthesis, filtering, frame encoding, and
+full sessions against a live server (simulated clock for the grace and
+debounce policies, real clock for streaming runs) or against a data port
+that never reads.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from hubstream.errors import (
     TypeMismatch,
     UnknownPlugin,
 )
+import hubstream.hub as hub_module
 from hubstream import wire
 from hubstream.hub import (
     BACKOFF_BASE_MS,
@@ -29,14 +31,15 @@ from hubstream.hub import (
     FilterPolicy,
     GracePolicy,
     KEYFRAME_EVERY,
+    PluginDescriptor,
     RealClock,
     SensorHub,
+    SensorPlugin,
     SimClock,
     StreamEncoder,
-    _SendQueue,
 )
 from hubstream.sdd import SensorDescriptor, ValueType, fingerprint, parse_musdd, serialize_musdd
-from hubstream.server import MiddlewareServer
+from hubstream.server import MiddlewareServer, RecordLog
 from hubstream.simsensors import SimKind, SimSpec, make_sim_plugin
 from hubstream.wrapper import Strategy, compile_plan, decode_record
 
@@ -607,45 +610,6 @@ class TestPipelineFrozen:
         assert pipeline_digest(policy) == PIPELINE_DIGESTS[policy]
 
 
-class TestSendQueue:
-    def test_fifo_and_close_sentinel(self):
-        queue = _SendQueue(capacity=4)
-        queue.push(b"a")
-        queue.push(b"b")
-        queue.close()
-        assert queue.pop() == b"a"
-        assert queue.pop() == b"b"
-        assert queue.pop() is None
-
-    def test_overflow_drops_oldest_and_counts(self):
-        queue = _SendQueue(capacity=3)
-        for chunk in (b"1", b"2", b"3", b"4", b"5"):
-            queue.push(chunk)
-        assert queue.dropped_oldest == 2
-        queue.close()
-        assert [queue.pop(), queue.pop(), queue.pop()] == [b"3", b"4", b"5"]
-
-    def test_push_after_close_ignored(self):
-        queue = _SendQueue(capacity=2)
-        queue.close()
-        queue.push(b"x")
-        assert queue.pop() is None
-
-    def test_pop_blocks_until_push(self):
-        queue = _SendQueue(capacity=2)
-        got = []
-
-        def consume():
-            got.append(queue.pop())
-
-        thread = threading.Thread(target=consume, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        queue.push(b"late")
-        thread.join(timeout=2)
-        assert got == [b"late"]
-
-
 # --- full sessions against a live server --------------------------------------
 
 
@@ -864,3 +828,121 @@ class TestLiveSessions:
         with pytest.raises(socket.timeout):
             data.accept()  # the hub never opened the data port
         data.close()
+
+    def test_a_streaming_hub_adds_exactly_one_thread(self, server):
+        before = set(threading.enumerate())
+        hub = SensorHub("one_thread_hub", ("127.0.0.1", server.control_port))
+        hub.register_plugin(sim_plugin("temp", period_ms=10))
+        hub.start()
+        try:
+            assert wait_until(lambda: hub.frames_sent >= 5)
+            added = set(threading.enumerate()) - before
+        finally:
+            hub.stop()
+        assert [t.name for t in added] == ["hub-one_thread_hub"]
+
+    def test_record_log_replays_the_hubs_frames_in_sequence_order(self, server, tmp_path):
+        hub = SensorHub("order_hub", ("127.0.0.1", server.control_port))
+        hub.register_plugin(sim_plugin("wave", period_ms=2, kind=SimKind.SINE, amplitude=5.0))
+        hub.start()
+        try:
+            assert wait_until(lambda: hub.frames_sent >= 200)
+        finally:
+            hub.stop()
+        session = server.core.get_session("order_hub")
+        assert wait_until(lambda: session.frames_received == hub.frames_sent)
+        replayed = RecordLog.replay(tmp_path / "data" / "order_hub.log")
+        sequences = [wire.FRAME_HEADER.unpack_from(body)[0] for _, body in replayed]
+        assert sequences == list(range(hub.frames_sent))
+        assert hub.queue_dropped == 0
+
+
+class _BlobPlugin(SensorPlugin):
+    """A string sensor sampled every millisecond with 64 KiB values, so a
+    data connection that is never read fills within a second."""
+
+    def describe(self) -> PluginDescriptor:
+        return PluginDescriptor("blob", SensorDescriptor("blob", ValueType.STRING, 1))
+
+    def sample(self):
+        return "x" * 65_536
+
+
+@pytest.fixture
+def deaf_server():
+    """A control port that assigns each registered schema, and a data port
+    that accepts connections and never reads from them."""
+    control = socket.create_server(("127.0.0.1", 0))
+    control.settimeout(0.05)
+    data = socket.create_server(("127.0.0.1", 0))
+    data.settimeout(0.05)
+    held = []
+    done = threading.Event()
+
+    def serve():
+        while not done.is_set():
+            try:
+                held.append(data.accept()[0])
+            except socket.timeout:
+                pass
+            try:
+                conn, _ = control.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5)
+                _, payload = wire.read_message(conn)
+                doc = parse_musdd(wire.unpack_register(payload)[0])
+                layout = [(s.name, s.value_type) for s in doc.sensors]
+                wire.write_message(conn, wire.OP_ASSIGN, wire.pack_assign(
+                    data.getsockname()[1], b"t" * wire.TOKEN_LEN, "dgcw_deaf", layout))
+
+    fake = threading.Thread(target=serve)
+    fake.start()
+    yield ("127.0.0.1", control.getsockname()[1])
+    done.set()
+    fake.join(timeout=5)
+    assert not fake.is_alive()
+    for sock in held + [data, control]:
+        sock.close()
+
+
+def _hub_threads(hub):
+    return [t for t in threading.enumerate() if t.name == f"hub-{hub.hub_id}"]
+
+
+class TestStalledPeer:
+    def test_full_queue_drops_oldest_while_sampling_goes_on(self, deaf_server, monkeypatch):
+        monkeypatch.setattr(hub_module, "QUEUE_CAPACITY", 4)
+        monkeypatch.setattr(hub_module, "STALL_S", 3.0)  # bounds stop()'s flush
+        hub = SensorHub("deaf_hub", deaf_server)
+        hub.register_plugin(_BlobPlugin())
+        hub.start()
+        try:
+            assert wait_until(lambda: hub.queue_dropped > 0)
+            dropped, enqueued = hub.queue_dropped, hub.frames_enqueued
+            assert wait_until(
+                lambda: hub.queue_dropped > dropped and hub.frames_enqueued > enqueued
+            )
+            assert hub.registration_count == 1  # the same session, still running
+        finally:
+            hub.stop()
+        assert not _hub_threads(hub)
+
+    def test_stop_flushes_within_the_sessions_stall_deadline(self, deaf_server, monkeypatch):
+        monkeypatch.setattr(hub_module, "QUEUE_CAPACITY", 4)
+        monkeypatch.setattr(hub_module, "STALL_S", 4.0)
+        hub = SensorHub("deaf_hub", deaf_server)
+        hub.register_plugin(_BlobPlugin())
+        hub.start()
+        try:
+            assert wait_until(lambda: hub.queue_dropped > 0)  # the connection is full
+            time.sleep(1.5)  # the kernel may take one more burst in the first ~0.3 s
+        finally:
+            started = time.monotonic()
+            hub.stop()
+            elapsed = time.monotonic() - started
+        assert not _hub_threads(hub)
+        # the stall began >1 s before stop(); a flush with a fresh deadline takes 4 s
+        assert elapsed < 3.6
+        assert hub.registration_count == 1

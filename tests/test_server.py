@@ -64,6 +64,13 @@ class TestPortAllocator:
         alloc.release(port)
         assert alloc.reserve() == port
 
+    def test_deferred_port_comes_after_every_other_free_port(self):
+        alloc = PortAllocator(9000, 9002)
+        port = alloc.reserve()
+        alloc.release(port)
+        alloc.defer(port)
+        assert [alloc.reserve() for _ in range(3)] == [9001, 9002, 9000]
+
     def test_double_release_harmless(self):
         alloc = PortAllocator(9000, 9001)
         port = alloc.reserve()
@@ -669,6 +676,18 @@ class TestTcp:
         assert server.core.ports.active_count() == 0
         assert server.core.catalog.live("hub_a") is None
         assert register_over_tcp(server, SMALL)[0] == wire.OP_ASSIGN
+
+    def test_a_port_held_elsewhere_is_handed_out_last(self, server):
+        blocker = socket.create_server(("127.0.0.1", 17100))
+        try:
+            failed = register_over_tcp(server, SMALL)
+            opcode, assign = register_over_tcp(server, SMALL)
+        finally:
+            blocker.close()
+        assert failed[0] == wire.OP_NACK
+        assert opcode == wire.OP_ASSIGN
+        assert assign.data_port == 17101
+        assert register_over_tcp(server, SMALL, hub="hub_b")[1].data_port == 17102
 
     def test_status_beside_full_rate_stream(self, server):
         _, assign = register_over_tcp(server, SMALL)

@@ -1,6 +1,7 @@
 """Virtual sensor definitions, connection requests, window queries."""
 
 import random
+import re
 
 import pytest
 
@@ -262,5 +263,17 @@ class TestDocumentForm:
         data = serialize_vsd(self.make_vsd(tmp_path)).replace(
             b"<address", b"<sneaky x=\"1\"/><address"
         )
+        with pytest.raises(SchemaViolation):
+            parse_vsd(data)
+
+    @pytest.mark.parametrize("attr", ["window_count", "window_ms"])
+    @pytest.mark.parametrize("text", ["x", "1.5"])
+    def test_non_integer_window_rejected_typed(self, tmp_path, attr, text):
+        data, replaced = re.subn(
+            rb'<query window_count="\d+"',
+            f'<query {attr}="{text}"'.encode(),
+            serialize_vsd(self.make_vsd(tmp_path)),
+        )
+        assert replaced == 1
         with pytest.raises(SchemaViolation):
             parse_vsd(data)
