@@ -3,7 +3,7 @@
 MiddlewareCore is the engine: it runs the whole registration pipeline
 in-process (parse, fingerprint, plan lookup/compile, virtual sensor
 definition, connection request, instance lifecycle, port assignment),
-ingests decoded frames, and answers status queries.  Benchmarks and most
+ingests frames, and answers status queries.  Benchmarks and most
 tests drive the core directly with no sockets involved.
 
 MiddlewareServer is the network shell around a core: one thread runs one
@@ -39,7 +39,7 @@ partial frame waits for the next read.
 A wrong token, or a length prefix below the frame header or above
 wire.MAX_MESSAGE, closes the connection (counted on the session as
 bad_tokens or bad_lengths) and the port goes back to listening.  A frame
-that does not decode is counted as malformed and skipped.  If ingesting a
+that fails validation is counted as malformed and skipped.  If ingesting a
 read raises anything else (the record log cannot be written, say), that
 one connection is dropped and counted as batches_failed, and the loop goes
 on serving every other port.  An accept that fails for want of a file
@@ -51,12 +51,13 @@ rounds of events, unless the loop itself tears down) and returns only once
 the loop can never touch the session again.  stop() ends the loop and
 closes every socket, control connections included.
 
-Ingest publishes a batch in this order.  For each record: decode and
-dedup (records_decoded moves), then the window buffer.  Then the log
-entries of every stored record go to the record log in one write and one
-flush, and only after that flush does frames_received move.  So a reader
-that sees frames_received cover a frame finds that frame's record in the
-log.
+Ingest publishes a batch in this order.  For each frame: validate and
+dedup (records_decoded moves); no record is built.  Then the accepted
+frame bodies go to the window buffer, and to the record log in one write
+and one flush, and only after that flush does frames_received move.  So
+a reader that sees frames_received cover a frame finds that frame in the
+log.  Records are decoded on read: STATUS_LATEST decodes the one body
+with the highest sequence number, STATUS_WINDOW the bodies in its window.
 
 Durability: the record log is flushed to the operating system once per
 batch and never fsynced.  A crash of the server process loses at most the
@@ -84,12 +85,13 @@ import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import wire
+from . import wire, wrapper
 from .errors import (
     FrameTooShort,
     HubStreamError,
@@ -110,6 +112,7 @@ from .wrapper import (
     Strategy,
     StreamRecord,
     WrapperInstance,
+    WrapperPlan,
     compile_plan,
     instantiate,
 )
@@ -121,6 +124,7 @@ __all__ = [
     "RegistrationSession",
     "PortAllocator",
     "RecordLog",
+    "WindowBuffer",
     "MiddlewareCore",
     "MiddlewareServer",
     "STATUS_LIST",
@@ -137,7 +141,7 @@ STATUS_LIST = 0
 STATUS_LATEST = 1
 STATUS_WINDOW = 2
 
-# Per-session in-memory record buffer feeding window queries.
+# Frame bodies each session keeps in memory for status queries.
 WINDOW_BUFFER_LEN = 1024
 
 # Most bytes taken from one connection per read.  One read is one ingest
@@ -212,20 +216,53 @@ class RecordLog:
 
     @staticmethod
     def replay(path: Path):
-        """Yield (arrival_ms, frame_body) entries from a log file."""
-        data = path.read_bytes()
-        pos = 0
-        while pos < len(data):
-            if len(data) - pos < 12:
-                raise FrameTooShort("record log truncated in an entry header")
-            (arrival,) = wire.U64.unpack_from(data, pos)
-            (length,) = wire.U32.unpack_from(data, pos + 8)
-            start = pos + 12
-            body = data[start : start + length]
-            if len(body) != length:
-                raise FrameTooShort("record log truncated")
-            yield arrival, body
-            pos = start + length
+        """Yield (arrival_ms, frame_body) entries from a log file.  The file
+        is read an entry at a time, so replay holds one entry in memory
+        however long the log."""
+        with open(path, "rb") as fh:
+            while head := fh.read(12):
+                if len(head) < 12:
+                    raise FrameTooShort("record log truncated in an entry header")
+                (arrival,) = wire.U64.unpack_from(head)
+                (length,) = wire.U32.unpack_from(head, 8)
+                body = fh.read(length)
+                if len(body) != length:
+                    raise FrameTooShort("record log truncated")
+                yield arrival, body
+
+
+class WindowBuffer(Sequence):
+    """The newest WINDOW_BUFFER_LEN frame bodies a session stored, oldest
+    first, read as records: an index, a slice or an iteration decodes the
+    bodies it takes through wrapper.decode_record, and nothing else."""
+
+    def __init__(self, plan: WrapperPlan, hub_id: str):
+        self.bodies: deque = deque(maxlen=WINDOW_BUFFER_LEN)
+        self._plan = plan
+        self._hub_id = hub_id
+
+    def _decode(self, body) -> StreamRecord:
+        return wrapper.decode_record(self._plan, body, self._hub_id)
+
+    def __len__(self) -> int:
+        return len(self.bodies)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._decode(body) for body in list(self.bodies)[index]]
+        return self._decode(self.bodies[index])
+
+    def __iter__(self):
+        return map(self._decode, list(self.bodies))
+
+    def latest(self) -> Optional[StreamRecord]:
+        """The record with the highest sequence number (the oldest of
+        equals), or None when the buffer is empty."""
+        bodies = list(self.bodies)
+        if not bodies:
+            return None
+        # the key is the 1-tuple (sequence,) read from the frame header
+        return self._decode(max(bodies, key=wire.U64.unpack_from))
 
 
 class SessionState(Enum):
@@ -251,7 +288,10 @@ class RegistrationSession:
     bad_lengths: int = 0  # data connections dropped for an impossible frame length
     batches_failed: int = 0  # data connections dropped because ingesting a read raised
     log: Optional[RecordLog] = None
-    window_buffer: deque = field(default_factory=lambda: deque(maxlen=WINDOW_BUFFER_LEN))
+    window_buffer: WindowBuffer = field(init=False)
+
+    def __post_init__(self):
+        self.window_buffer = WindowBuffer(self.instance.plan, self.hub_id)
 
     @property
     def records_decoded(self) -> int:
@@ -410,30 +450,27 @@ class MiddlewareCore:
         """Feed received frame bodies, in arrival order, through the
         session's wrapper; returns how many were stored.
 
-        Each record is decoded and deduplicated, then goes to the window
-        buffer.  Then the stored frames go to the record log in one write
-        and one flush, and only then does frames_received move.  Malformed
-        frames and sequence regressions are counted and skipped; duplicates
-        are dropped by the wrapper.  The records are not collected: the
-        window buffer holds the newest, and keeping a whole batch of them
-        alive costs more in garbage collection than the rest of the loop.
+        Each frame is validated and deduplicated without being decoded.
+        The accepted bodies go to the window buffer and then to the record
+        log in one write and one flush, and only then does frames_received
+        move.  Malformed frames and sequence regressions are counted and
+        skipped; duplicates are dropped by the wrapper.
         """
         on_stream_element = session.instance.on_stream_element
-        remember = session.window_buffer.append
         stored = []
         malformed = 0
         for body in frame_bodies:
             try:
-                record = on_stream_element(body)
+                accepted = on_stream_element(body)
             except (
                 FrameTooShort, TypeTagMismatch, TrailingBytes, InvalidText, SequenceRegression
             ):
                 malformed += 1
                 continue
-            if record is not None:
-                remember(record)
-                stored.append(body)
+            if accepted is not None:
+                stored.append(accepted)
         if stored:
+            session.window_buffer.bodies.extend(stored)
             if arrival_ms is None:
                 arrival_ms = int(time.time() * 1000)
             session.log.append(arrival_ms, *stored)
@@ -471,9 +508,8 @@ class MiddlewareCore:
             out = io.StringIO()
             w = csv.writer(out)
             w.writerow(["hub_id", "sequence", "timestamp_ms", *session.instance.plan.field_names])
-            records = list(session.window_buffer)
-            if records:
-                newest = max(records, key=lambda r: r.sequence)
+            newest = session.window_buffer.latest()
+            if newest is not None:
                 w.writerow(
                     [
                         session.hub_id,
@@ -487,7 +523,7 @@ class MiddlewareCore:
             vsd = self.catalog.live(hub_id)
             if vsd is None:
                 raise UnknownHub(f"no live definition for hub {hub_id!r}")
-            result = eval_window_query(vsd.query, list(session.window_buffer))
+            result = eval_window_query(vsd.query, session.window_buffer)
             out = io.StringIO()
             w = csv.writer(out)
             w.writerow(["field", "op", "value"])

@@ -14,12 +14,21 @@ Two strategies turn a hub's schema into a frame decoder:
   region (taken when the frame length matches the all-present layout of a
   fixed-width schema) and, for the general case, a table of (field name,
   payload unpacker) pairs walked in one loop that never consults the
-  schema again.  The specialized path trusts frame lengths from a
-  conforming encoder; it does not re-validate presence tags (SPSW does, and
-  raises TypeTagMismatch).
+  schema again.  The specialized path treats any nonzero presence tag as
+  present; the validator below is what rejects one.
 
 Both strategies must decode every valid frame identically; the generic
 path doubles as the oracle for the specialized one in tests.
+
+Ingest does not decode.  Every plan, whichever its strategy, carries one
+validator built from a table of per-field widths (a fixed-width payload,
+or a length-prefixed STRING): it checks the header, the presence tags
+(0x00 or 0x01), string lengths and UTF-8, and that no byte trails the
+last field, without building a value.  A fixed-width schema's frame with every field
+present passes on its length and presence tags alone.  A frame the check
+rejects goes through the SPSW walk, so it fails with exactly SPSW's error
+and message, and both strategies accept exactly the frames SPSW decodes.
+Records are built by decode_record when something reads them.
 
 Plans are cached by schema fingerprint in a PlanRepository and persisted
 one file per plan under ``<store>/plans/<strategy>/<digest>.plan`` with a
@@ -64,7 +73,7 @@ from .errors import (
     UnknownWrapper,
 )
 from .sdd import GENERIC_SCHEMA_DIGEST, MicroSDD, SchemaFingerprint, ValueType, fingerprint
-from .wire import FRAME_HEADER, F64, I64, U32, pack_field_table, unpack_field_table
+from .wire import FRAME_HEADER, F64, I64, U32, U64, pack_field_table, unpack_field_table
 
 __all__ = [
     "Strategy",
@@ -143,6 +152,7 @@ class WrapperPlan:
     field_layout: tuple[FieldSpec, ...]
     plan_size_bytes: int
     _decode: Callable = field(compare=False, repr=False)
+    _validate: Callable = field(compare=False, repr=False)
 
     @property
     def field_names(self) -> tuple[str, ...]:
@@ -278,6 +288,57 @@ def _build_dgcw_decoder(layout: tuple[FieldSpec, ...]) -> Callable:
     return decode
 
 
+def _require_header(frame: bytes) -> None:
+    if len(frame) < FRAME_HEADER.size:
+        raise FrameTooShort(f"frame body {len(frame)}B, header needs 16B")
+
+
+def _build_validator(layout: tuple[FieldSpec, ...]) -> Callable:
+    """Check a frame body without building its values; returns its
+    sequence number.  Walks a table of the bytes each present field takes
+    (9: tag and payload, or 0 for a length-prefixed STRING); a frame of a
+    fixed-width schema with every field present is recognised by its
+    length and presence tags alone.  A frame that fails the check is
+    handed to the SPSW walk, which raises the error decode_record would."""
+    header = FRAME_HEADER.size
+    widths = tuple(0 if value_type is ValueType.STRING else 9 for _, value_type in layout)
+    nominal = header + sum(widths) if all(widths) else -1
+    all_present = b"\x01" * len(widths)
+    unpack_length = U32.unpack_from
+    unpack_sequence = U64.unpack_from
+
+    def walk(frame) -> bool:
+        pos = header
+        try:
+            for width in widths:
+                tag = frame[pos]
+                if tag == 0x01:
+                    if width:
+                        pos += width
+                        continue
+                    (str_len,) = unpack_length(frame, pos + 1)
+                    pos += 5
+                    text = frame[pos : pos + str_len]
+                    if not text.isascii():
+                        text.decode("utf-8")
+                    pos += str_len
+                elif tag:
+                    return False
+                else:
+                    pos += 1
+        except (IndexError, struct.error, UnicodeDecodeError):
+            return False  # ran past the end, or not UTF-8
+        return pos == len(frame)
+
+    def validate(frame) -> int:
+        if not (len(frame) == nominal and frame[header::9] == all_present) and not walk(frame):
+            _require_header(frame)
+            _decode_fields_generic(layout, frame, header)
+        return unpack_sequence(frame)[0]
+
+    return validate
+
+
 def decode_record(plan: WrapperPlan, frame: bytes, hub_id: str = "") -> StreamRecord:
     """Decode one frame body (sequence + timestamp + field region) into a
     typed record.  The caller strips the length prefix.
@@ -288,8 +349,7 @@ def decode_record(plan: WrapperPlan, frame: bytes, hub_id: str = "") -> StreamRe
         TrailingBytes: bytes remain after the last declared field.
         InvalidText: a STRING field is not valid UTF-8.
     """
-    if len(frame) < FRAME_HEADER.size:
-        raise FrameTooShort(f"frame body {len(frame)}B, header needs 16B")
+    _require_header(frame)
     sequence, timestamp_ms = FRAME_HEADER.unpack_from(frame)
     values = plan._decode(frame, FRAME_HEADER.size)
     return StreamRecord(hub_id, sequence, timestamp_ms, values)
@@ -309,7 +369,7 @@ def _make_plan(
         decoder = _build_dgcw_decoder(layout)
     else:
         decoder = partial(_decode_fields_generic, layout)
-    return WrapperPlan(fp, strategy, layout, size, decoder)
+    return WrapperPlan(fp, strategy, layout, size, decoder, _build_validator(layout))
 
 
 def compile_plan(doc: MicroSDD, strategy: Strategy) -> WrapperPlan:
@@ -491,15 +551,16 @@ class WrapperInstance:
             self._illegal("dispose")
         self.state = LifecycleState.DISPOSED
 
-    def on_stream_element(self, frame: bytes) -> Optional[StreamRecord]:
-        """Decode one frame.  Returns the record, or None when the frame is
-        a duplicate of a recently accepted sequence number (dropped and
-        counted).  A sequence number older than the reordering window
-        raises SequenceRegression."""
+    def on_stream_element(self, frame: bytes) -> Optional[bytes]:
+        """Validate one frame body and deduplicate it by sequence number;
+        no record is built.  Returns the frame body when it is accepted
+        (records_decoded counts it), or None when it is a duplicate of a
+        recently accepted sequence number (dropped and counted).  A frame
+        SPSW would not decode raises SPSW's error; a sequence number older
+        than the reordering window raises SequenceRegression."""
         if self.state is not LifecycleState.RUNNING:
             self._illegal("on_stream_element")
-        record = decode_record(self.plan, frame, self.hub_id)
-        seq = record.sequence
+        seq = self.plan._validate(frame)
         if seq in self._recent_set:
             self.duplicates_dropped += 1
             return None
@@ -516,4 +577,4 @@ class WrapperInstance:
         if seq > self.last_sequence:
             self.last_sequence = seq
         self.records_decoded += 1
-        return record
+        return frame

@@ -6,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,7 @@ from hubstream.server import (
     RECV_BYTES,
     WINDOW_BUFFER_LEN,
 )
+from hubstream.vsd import Aggregate, WindowQuery, eval_window_query
 from hubstream.wrapper import LifecycleState, Strategy, decode_record
 
 from oracles import random_row, random_schema, reference_frame
@@ -278,6 +280,21 @@ class TestIngest:
         # next good frame still lands
         assert core.ingest_frame(session, reference_frame(SMALL, [1.0, "a"], 1, 0))
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("schema", [EIGHT, SMALL], ids=["fixed", "mixed"])
+    def test_presence_tag_other_than_0_or_1_is_malformed(self, tmp_path, strategy, schema):
+        core, session = self.register(tmp_path, schema=schema, strategy=strategy)
+        row = [1.0] * len(EIGHT) if schema is EIGHT else [1.0, "a"]
+        good = [reference_frame(schema, row, seq, 0) for seq in range(3)]
+        bad = bytearray(good[1])
+        bad[16] = 0x02  # the first field's presence tag
+        assert core.ingest_batch(session, [good[0], bytes(bad), good[2]], arrival_ms=5) == 2
+        assert session.frames_malformed == 1
+        assert session.records_decoded == 2
+        assert [r.sequence for r in session.window_buffer] == [0, 2]
+        entries = list(RecordLog.replay(tmp_path / "data" / "hub_a.log"))
+        assert entries == [(5, good[0]), (5, good[2])]
+
     def test_duplicate_stored_once(self, tmp_path):
         core, session = self.register(tmp_path)
         frame = reference_frame(SMALL, [2.0, "b"], 7, 0)
@@ -336,6 +353,18 @@ class TestIngest:
         assert len(session.window_buffer) == WINDOW_BUFFER_LEN
         assert session.window_buffer[0].sequence == 5
 
+    @pytest.mark.parametrize("window", [{"count": 3}, {"count": 50}, {"duration_ms": 250}])
+    def test_window_buffer_reads_like_a_list_of_its_records(self, tmp_path, window):
+        core, session = self.register(tmp_path)
+        for seq in (0, 1, 3, 2, 5, 4, 6, 7):
+            core.ingest_frame(session, reference_frame(SMALL, [seq / 2, f"m{seq}"], seq, seq * 100))
+        records = list(session.window_buffer)
+        assert [r.sequence for r in records] == [0, 1, 3, 2, 5, 4, 6, 7]
+        assert session.window_buffer[-3:] == records[-3:]
+        assert session.window_buffer[2] == records[2]
+        query = WindowQuery((("temp", Aggregate.AVG), ("mode", Aggregate.LATEST)), **window)
+        assert eval_window_query(query, session.window_buffer) == eval_window_query(query, records)
+
     def test_log_replays_to_identical_records(self, tmp_path):
         core, session = self.register(tmp_path)
         originals = []
@@ -361,6 +390,20 @@ class TestIngest:
         assert next(entries) == (7, b"b" * 20)
         with pytest.raises(FrameTooShort):
             next(entries)
+
+    def test_replay_holds_one_entry_not_the_whole_log(self, tmp_path):
+        path = tmp_path / "hub.log"
+        log = RecordLog(path)
+        for _ in range(20):
+            log.append(7, *[b"x" * 88] * 10_000)  # 20 MB in all
+        log.close()
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in RecordLog.replay(path)) == 200_000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestStatus:
@@ -402,6 +445,47 @@ class TestStatus:
         core = MiddlewareCore(tmp_path)
         with pytest.raises(UnknownHub):
             core.status_query(STATUS_LATEST, "ghost")
+
+    PINNED = [("temp", ValueType.DOUBLE), ("count", ValueType.INT), ("mode", ValueType.STRING)]
+    PINNED_ROWS = [
+        [20.5, 7, "idle"],
+        [None, -3, "run, fast"],
+        [21.25, None, 'say "hi"'],
+        [-0.125, 2**62, None],
+        [1e-7, 0, "né"],
+    ]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "order, latest, window",
+        [
+            (
+                [0, 1, 2, 3],
+                "hub_id,sequence,timestamp_ms,temp,count,mode\r\n"
+                "hub_a,3,1003,-0.125,4611686018427387904,\r\n",
+                "field,op,value\r\ntemp,latest,-0.125\r\n"
+                "count,latest,4611686018427387904\r\nmode,latest,\r\n",
+            ),
+            (
+                # out of order, with a resend of 4 carrying other values
+                [3, 0, 4, 4, 1, 2],
+                "hub_id,sequence,timestamp_ms,temp,count,mode\r\n"
+                "hub_a,4,1004,1e-07,0,né\r\n",
+                'field,op,value\r\ntemp,latest,21.25\r\ncount,latest,\r\nmode,latest,"say ""hi"""\r\n',
+            ),
+        ],
+    )
+    def test_latest_and_window_replies_pinned(self, tmp_path, strategy, order, latest, window):
+        core = MiddlewareCore(tmp_path, strategy)
+        core.handle_register(doc_bytes(self.PINNED))
+        session = core.get_session("hub_a")
+        seen = set()
+        for seq in order:
+            row = self.PINNED_ROWS[0] if seq in seen else self.PINNED_ROWS[seq]
+            seen.add(seq)
+            core.ingest_frame(session, reference_frame(self.PINNED, row, seq, 1000 + seq))
+        assert core.status_query(STATUS_LATEST, "hub_a") == latest
+        assert core.status_query(STATUS_WINDOW, "hub_a") == window
 
 
 # --- TCP shell ----------------------------------------------------------------
@@ -587,6 +671,8 @@ class TestTcp:
         assert session.records_decoded == 40
         logged = [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
         assert logged == bodies
+        plan = session.instance.plan
+        assert list(session.window_buffer) == [decode_record(plan, b, "hub_a") for b in bodies]
 
     def test_second_connection_waits_for_the_first(self, server):
         _, assign = register_over_tcp(server, SMALL)

@@ -31,6 +31,7 @@ from hubstream.wrapper import (
     LifecycleState,
     PlanRepository,
     Strategy,
+    StreamRecord,
     WrapperConnectionRequest,
     WrapperInstance,
     compile_plan,
@@ -208,6 +209,51 @@ class TestStrategyParityOnDamagedFrames:
             expected = decode_outcome(spsw, body)
             assert decode_outcome(dgcw, body) == expected
             assert decode_outcome(reloaded, body) == expected
+
+
+@st.composite
+def layouts_with_rows(draw):
+    """Like schemas_with_rows, but half the cases are fixed-width schemas
+    with every field present, the frames the validator's fast path takes."""
+    if not draw(st.booleans()):
+        return draw(schemas_with_rows())
+    names = draw(st.lists(_FIELD_NAMES, min_size=1, max_size=10, unique=True))
+    schema = [(name, draw(st.sampled_from([ValueType.INT, ValueType.DOUBLE]))) for name in names]
+    return schema, [draw(_FIELD_VALUES[vtype]) for _, vtype in schema]
+
+
+def validate_outcome(plan, frame):
+    """The sequence number the plan's ingest validator returns, or the type
+    and message of the error it raises."""
+    try:
+        return plan._validate(frame)
+    except HubStreamError as exc:
+        return type(exc), str(exc)
+
+
+class TestValidatorParity:
+    """The ingest validator of either strategy accepts exactly the frames
+    SPSW's decode_record decodes, and fails where it fails, with the same
+    error type and message, on valid frames with a byte flipped, cut short
+    or with a byte added."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layouts_with_rows(), st.integers(1, 255), st.integers(0, 255), st.data())
+    def test_validator_fails_like_spsw(self, case, mask, extra_byte, data):
+        schema, row = case
+        spsw, dgcw = plans_for(schema)
+        frame = reference_frame(schema, row, 7, 1234)
+        at = data.draw(st.integers(0, len(frame)))
+        frames = [frame, frame[:at] + bytes([extra_byte]) + frame[at:]]
+        frames += [frame[:cut] for cut in range(len(frame))]
+        frames += [frame[:i] + bytes([frame[i] ^ mask]) + frame[i + 1 :] for i in range(len(frame))]
+        for body in frames:
+            expected = decode_outcome(spsw, body)
+            if isinstance(expected, StreamRecord):
+                expected = expected.sequence
+            assert validate_outcome(spsw, body) == expected
+            assert validate_outcome(dgcw, body) == expected
+        assert validate_outcome(dgcw, frame) == 7
 
 
 class TestPlanSerialization:
