@@ -24,7 +24,7 @@ from .sdd import (
 )
 from .server import MiddlewareCore, MiddlewareServer
 from .simsensors import SimKind, SimSpec, make_sim_plugin, parse_manifest
-from .vsd import VirtualSensorDefinition, WindowQuery, eval_window_query
+from .vsd import VirtualSensorDefinition
 from .wrapper import (
     PlanRepository,
     Strategy,
@@ -58,8 +58,6 @@ __all__ = [
     "make_sim_plugin",
     "parse_manifest",
     "VirtualSensorDefinition",
-    "WindowQuery",
-    "eval_window_query",
     "PlanRepository",
     "Strategy",
     "StreamRecord",

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--control-port", type=int, default=DEFAULT_CONTROL_PORT)
     status.add_argument("--hub", default=None, help="show latest record for this hub")
     status.add_argument(
-        "--window", action="store_true", help="with --hub: evaluate its window query"
+        "--window", action="store_true", help="with --hub: the latest record as field,op,value rows"
     )
 
     hub = sub.add_parser("hub", help="run a sensor hub from a manifest")

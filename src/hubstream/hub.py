@@ -20,8 +20,10 @@ Fault posture, mirroring the null-tolerance policy:
   debounced over a 2 s window so bursts of churn coalesce into one.
 * An unreachable server is retried with capped exponential backoff
   (base 500 ms, cap 30 s).  So is a stream assignment whose field layout
-  is not the schema the hub registered (same names, types and order):
-  the hub streams nothing on it and re-registers after the backoff.
+  does not hold the fields the hub registered (the same names and types,
+  in any order: a plan cached for the same fields keeps its first order,
+  and the hub encodes in the assigned order): the hub streams nothing on
+  it and re-registers after the backoff.
 
 All time flows through an injectable Clock so tests can drive grace and
 debounce behavior on a simulated timeline.
@@ -536,9 +538,11 @@ class SensorHub:
                 attempt += 1
                 continue
             self._ever_registered = True
-            if assign.field_layout != tuple((s.name, s.value_type) for s in doc.sensors):
-                # not the schema we registered: streaming it would send
+            schema = [(s.name, s.value_type) for s in doc.sensors]
+            if len(assign.field_layout) != len(schema) or set(assign.field_layout) != set(schema):
+                # not the fields we registered: streaming it would send
                 # fields we do not have as nulls, so refuse it and retry
+                # (their order may differ: rows are built by name)
                 self._backoff(attempt)
                 attempt += 1
                 continue

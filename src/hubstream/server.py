@@ -56,8 +56,9 @@ dedup (records_decoded moves); no record is built.  Then the accepted
 frame bodies go to the window buffer, and to the record log in one write
 and one flush, and only after that flush does frames_received move.  So
 a reader that sees frames_received cover a frame finds that frame in the
-log.  Records are decoded on read: STATUS_LATEST decodes the one body
-with the highest sequence number, STATUS_WINDOW the bodies in its window.
+log.  Records are decoded on read: STATUS_LATEST and STATUS_WINDOW are
+two renderings of one record, the body with the highest sequence number,
+decoded once per query.
 
 Durability: the record log is flushed to the operating system once per
 batch and never fsynced.  A crash of the server process loses at most the
@@ -105,7 +106,7 @@ from .errors import (
     UnknownHub,
 )
 from .sdd import SchemaFingerprint, fingerprint, parse_musdd
-from .vsd import VsdCatalog, eval_window_query, make_wcr
+from .vsd import QUERY_OP, VsdCatalog, eval_window_query, make_wcr
 from .wrapper import (
     LifecycleState,
     PlanRepository,
@@ -504,11 +505,15 @@ class MiddlewareCore:
                 )
             return out.getvalue()
         session = self.get_session(hub_id)
+        if kind not in (STATUS_LATEST, STATUS_WINDOW):
+            raise MalformedDocument(f"unknown status kind {kind}")
+        # both kinds render the one record with the highest sequence number
+        newest = session.window_buffer.latest()
+        field_names = session.instance.plan.field_names
+        out = io.StringIO()
+        w = csv.writer(out)
         if kind == STATUS_LATEST:
-            out = io.StringIO()
-            w = csv.writer(out)
-            w.writerow(["hub_id", "sequence", "timestamp_ms", *session.instance.plan.field_names])
-            newest = session.window_buffer.latest()
+            w.writerow(["hub_id", "sequence", "timestamp_ms", *field_names])
             if newest is not None:
                 w.writerow(
                     [
@@ -518,19 +523,11 @@ class MiddlewareCore:
                         *["" if v is None else v for _, v in newest.values],
                     ]
                 )
-            return out.getvalue()
-        if kind == STATUS_WINDOW:
-            vsd = self.catalog.live(hub_id)
-            if vsd is None:
-                raise UnknownHub(f"no live definition for hub {hub_id!r}")
-            result = eval_window_query(vsd.query, session.window_buffer)
-            out = io.StringIO()
-            w = csv.writer(out)
+        else:
             w.writerow(["field", "op", "value"])
-            for (name, value), (_, agg) in zip(result, vsd.query.aggregates):
-                w.writerow([name, agg.value, "" if value is None else value])
-            return out.getvalue()
-        raise MalformedDocument(f"unknown status kind {kind}")
+            for name, value in eval_window_query(field_names, newest):
+                w.writerow([name, QUERY_OP, "" if value is None else value])
+        return out.getvalue()
 
 
 

@@ -829,6 +829,31 @@ class TestLiveSessions:
             data.accept()  # the hub never opened the data port
         data.close()
 
+    def test_replugged_sensor_streams_in_the_assigned_order(self, server):
+        """A sensor removed and added again comes last in the schema, but the
+        server's cached plan keeps the first order of the same fields: the
+        hub takes that order and streams on."""
+        clock = SimClock()
+        hub = SensorHub("replug_hub", ("127.0.0.1", server.control_port), clock=clock)
+        hub.register_plugin(sim_plugin("a", period_ms=100))
+        hub.register_plugin(sim_plugin("b", period_ms=100))
+        hub.start()
+        try:
+            assert wait_until(lambda: hub.registration_count == 1)
+            hub.remove_plugin("a")
+            hub.register_plugin(sim_plugin("a", period_ms=100, mean=5.0))
+            drive(clock, 3000)
+            assert wait_until(lambda: hub.registration_count == 2)
+            session = server.core.get_session("replug_hub")
+            drive(clock, 1000, step_ms=100)
+            assert wait_until(lambda: session.records_decoded > 0)
+        finally:
+            hub.stop()
+        assert [p.plugin_id for p in hub.plugins()] == ["b", "a"]
+        assert session.cache_hit
+        assert [name for name, _ in session.instance.plan.field_layout] == ["a", "b"]
+        assert dict(session.window_buffer[-1].values) == {"a": 5.0, "b": 20.0}
+
     def test_a_streaming_hub_adds_exactly_one_thread(self, server):
         before = set(threading.enumerate())
         hub = SensorHub("one_thread_hub", ("127.0.0.1", server.control_port))

@@ -52,3 +52,28 @@ def test_run_prints_a_complete_result(args, section, workloads):
         assert_complete(metrics, declared)
     else:
         assert_complete(metrics, [f"{w}/{name}" for w in workloads for name in declared])
+
+
+SHIMS = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from hubstream.server import MiddlewareCore
+tracer = spans.Tracer()
+spans.install_server_shims(tracer)
+spans.install_teardown_shim(tracer, MiddlewareCore(sys.argv[3]))
+with spans.hub_shims(tracer):
+    pass
+"""
+
+
+def test_every_traced_name_still_exists(tmp_path):
+    """The benchmark's span shims patch hubstream names by getattr: each
+    one must still be there, or a traced run dies at launch."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SHIMS, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,22 +1,12 @@
-"""Virtual sensor definitions, connection requests, window queries."""
+"""Virtual sensor definitions, connection requests, the fixed query."""
 
 import random
-import re
 
 import pytest
 
-from hubstream.errors import NameCollision, SchemaViolation
+from hubstream.errors import NameCollision
 from hubstream.sdd import SensorDescriptor, ValueType, build_musdd, fingerprint
-from hubstream.vsd import (
-    Aggregate,
-    VsdCatalog,
-    WindowQuery,
-    default_query,
-    eval_window_query,
-    make_wcr,
-    parse_vsd,
-    serialize_vsd,
-)
+from hubstream.vsd import VsdCatalog, eval_window_query, make_wcr, serialize_vsd
 from hubstream.wrapper import (
     PlanRepository,
     Strategy,
@@ -36,13 +26,6 @@ def doc_for(schema, hub="hub_a"):
     return build_musdd(hub, None, sensors)
 
 
-def records(values_per_record, field="x", hub="hub_a"):
-    return [
-        StreamRecord(hub, seq, seq * 100, ((field, v),))
-        for seq, v in enumerate(values_per_record)
-    ]
-
-
 class TestGenerate:
     def test_eight_sensor_doc(self, tmp_path):
         schema = [(f"s{i}", ValueType.DOUBLE) for i in range(8)]
@@ -55,10 +38,12 @@ class TestGenerate:
         assert vsd.output_fields == tuple(schema)
 
     def test_default_query_is_latest_count_one(self, tmp_path):
-        doc = doc_for([("t", ValueType.INT)])
-        vsd = VsdCatalog(tmp_path).generate_vsd(doc, compile_plan(doc, Strategy.SPSW))
-        assert vsd.query.count == 1
-        assert vsd.query.aggregates == (("t", Aggregate.LATEST),)
+        doc = doc_for([("t", ValueType.INT), ("u", ValueType.STRING)])
+        VsdCatalog(tmp_path).generate_vsd(doc, compile_plan(doc, Strategy.SPSW))
+        text = (tmp_path / "vsd" / "vs_hub_a.xml").read_text()
+        assert text.count("<query ") == 1
+        assert '<query window_count="1">' in text
+        assert text.count('op="latest"') == 2
 
     def test_collision_without_teardown(self, tmp_path):
         doc = doc_for([("t", ValueType.INT)])
@@ -73,10 +58,9 @@ class TestGenerate:
     def test_file_lifecycle(self, tmp_path):
         doc = doc_for([("t", ValueType.INT)])
         catalog = VsdCatalog(tmp_path)
-        catalog.generate_vsd(doc, compile_plan(doc, Strategy.DGCW))
+        vsd = catalog.generate_vsd(doc, compile_plan(doc, Strategy.DGCW))
         path = tmp_path / "vsd" / "vs_hub_a.xml"
-        assert path.exists()
-        assert parse_vsd(path.read_bytes()).hub_id == "hub_a"
+        assert path.read_bytes() == serialize_vsd(vsd)
         catalog.teardown("hub_a")
         assert not path.exists()
 
@@ -125,155 +109,29 @@ class TestMakeWcr:
             assert inst.hub_id == f"hub_{i}"
 
 
-class TestWindowQueryValidation:
-    def test_needs_exactly_one_window(self):
-        with pytest.raises(SchemaViolation):
-            WindowQuery((("x", Aggregate.AVG),))
-        with pytest.raises(SchemaViolation):
-            WindowQuery((("x", Aggregate.AVG),), count=1, duration_ms=5)
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_floor(self, count):
-        with pytest.raises(SchemaViolation):
-            WindowQuery((("x", Aggregate.AVG),), count=count)
-
-    def test_numeric_aggregate_over_string_rejected(self):
-        q = WindowQuery((("s", Aggregate.AVG),), count=3)
-        with pytest.raises(TypeError):
-            q.check_types((("s", ValueType.STRING),))
-        # LATEST and COUNT are fine on strings
-        WindowQuery(
-            (("s", Aggregate.LATEST), ("s2", Aggregate.COUNT)), count=1
-        ).check_types((("s", ValueType.STRING), ("s2", ValueType.STRING)))
-
-
 class TestEval:
-    def test_avg_count_window_three(self):
-        q = WindowQuery((("x", Aggregate.AVG),), count=3)
-        assert eval_window_query(q, records([1.0, 2.0, 3.0])) == [("x", 2.0)]
-
-    def test_avg_window_takes_suffix(self):
-        q = WindowQuery((("x", Aggregate.AVG),), count=3)
-        assert eval_window_query(q, records([10.0, 1.0, 2.0, 3.0])) == [("x", 2.0)]
-
     def test_latest_is_positional_not_null_skipping(self):
-        q = WindowQuery((("x", Aggregate.LATEST),), count=8)
-        out = eval_window_query(q, records([7.0] * 7 + [None]))
-        assert out == [("x", None)]
-
-    def test_nulls_excluded_from_aggregates(self):
-        q = WindowQuery(
-            (("x", Aggregate.AVG),), count=4
-        )
-        assert eval_window_query(q, records([None, 2.0, None, 4.0])) == [("x", 3.0)]
-
-    def test_all_null_avg_yields_null(self):
-        q = WindowQuery((("x", Aggregate.AVG),), count=3)
-        assert eval_window_query(q, records([None, None, None])) == [("x", None)]
-
-    def test_count_counts_non_null(self):
-        q = WindowQuery((("x", Aggregate.COUNT),), count=5)
-        assert eval_window_query(q, records([1, None, 3, None, 5])) == [("x", 3)]
-
-    def test_avg_on_string_values_raises(self):
-        q = WindowQuery((("x", Aggregate.AVG),), count=2)
-        with pytest.raises(TypeError):
-            eval_window_query(q, records(["a", "b"]))
+        newest = StreamRecord("hub_a", 7, 700, (("x", None), ("y", 2.5)))
+        assert eval_window_query(("x", "y"), newest) == [("x", None), ("y", 2.5)]
 
     def test_empty_buffer(self):
-        q = WindowQuery((("x", Aggregate.LATEST),), count=3)
-        assert eval_window_query(q, []) == [("x", None)]
-
-    def test_duration_window(self):
-        recs = records([1.0, 2.0, 3.0, 4.0])  # timestamps 0,100,200,300
-        q = WindowQuery((("x", Aggregate.MIN),), duration_ms=150)
-        # floor = 300-150 = 150 → records at 200, 300
-        assert eval_window_query(q, recs) == [("x", 3.0)]
-
-    def test_random_windows_match_brute_force(self):
-        rng = random.Random(77)
-        for _ in range(150):
-            n = rng.randint(1, 40)
-            values = [
-                None if rng.random() < 0.2 else rng.uniform(-100, 100)
-                for _ in range(n)
-            ]
-            recs = records(values)
-            count = rng.randint(1, n + 3)
-            for agg in (Aggregate.AVG, Aggregate.MIN, Aggregate.MAX, Aggregate.COUNT):
-                q = WindowQuery((("x", agg),), count=count)
-                (_, got), = eval_window_query(q, recs)
-                suffix = [v for v in values[-count:] if v is not None]
-                if agg is Aggregate.COUNT:
-                    expected = len(suffix)
-                elif not suffix:
-                    expected = None
-                elif agg is Aggregate.AVG:
-                    expected = sum(suffix) / len(suffix)
-                elif agg is Aggregate.MIN:
-                    expected = min(suffix)
-                else:
-                    expected = max(suffix)
-                if isinstance(expected, float) and expected == expected:
-                    assert got == pytest.approx(expected, rel=1e-12)
-                else:
-                    assert got == expected
-
-    def test_results_independent_of_ingestion_batching(self):
-        rng = random.Random(5)
-        values = [rng.uniform(0, 10) for _ in range(500)]
-        q = WindowQuery((("x", Aggregate.AVG),), count=64)
-
-        all_records = records(values)
-        one_by_one = []
-        for r in all_records:
-            one_by_one.append(r)
-        chunked = []
-        i = 0
-        while i < len(all_records):
-            step = rng.randint(1, 100)
-            chunked.extend(all_records[i : i + step])
-            i += step
-        assert eval_window_query(q, one_by_one) == eval_window_query(q, chunked)
+        assert eval_window_query(("x", "y"), None) == [("x", None), ("y", None)]
 
 
 class TestDocumentForm:
-    def make_vsd(self, tmp_path, schema=None, hub="hub_a"):
-        schema = schema or [("t", ValueType.INT), ("s", ValueType.STRING)]
-        doc = doc_for(schema, hub=hub)
-        return VsdCatalog(tmp_path).generate_vsd(doc, compile_plan(doc, Strategy.DGCW))
-
-    def test_round_trip(self, tmp_path):
-        vsd = self.make_vsd(tmp_path)
-        assert parse_vsd(serialize_vsd(vsd)) == vsd
-
-    def test_round_trip_duration_query(self, tmp_path):
-        base = self.make_vsd(tmp_path)
-        vsd = type(base)(
-            vsd_name=base.vsd_name,
-            hub_id=base.hub_id,
-            output_fields=base.output_fields,
-            wrapper_name=base.wrapper_name,
-            init_params=base.init_params,
-            query=WindowQuery((("t", Aggregate.MAX),), duration_ms=5000),
+    def test_definition_file_bytes_pinned(self, tmp_path):
+        doc = doc_for([("count", ValueType.INT), ("temp", ValueType.DOUBLE), ("mode", ValueType.STRING)])
+        VsdCatalog(tmp_path).generate_vsd(doc, compile_plan(doc, Strategy.DGCW))
+        assert (tmp_path / "vsd" / "vs_hub_a.xml").read_bytes() == (
+            b'<vsd version="1" name="vs_hub_a" hub="hub_a">\n'
+            b'  <address wrapper="dgcw_95d15fe3ac4ea6093f9c08b8c8ae9376"/>\n'
+            b'  <field name="count" type="int"/>\n'
+            b'  <field name="temp" type="double"/>\n'
+            b'  <field name="mode" type="string"/>\n'
+            b'  <query window_count="1">\n'
+            b'    <aggregate field="count" op="latest"/>\n'
+            b'    <aggregate field="temp" op="latest"/>\n'
+            b'    <aggregate field="mode" op="latest"/>\n'
+            b"  </query>\n"
+            b"</vsd>\n"
         )
-        assert parse_vsd(serialize_vsd(vsd)) == vsd
-
-    def test_unknown_element_rejected(self, tmp_path):
-        data = serialize_vsd(self.make_vsd(tmp_path)).replace(
-            b"<address", b"<sneaky x=\"1\"/><address"
-        )
-        with pytest.raises(SchemaViolation):
-            parse_vsd(data)
-
-    @pytest.mark.parametrize("attr", ["window_count", "window_ms"])
-    @pytest.mark.parametrize("text", ["x", "1.5"])
-    def test_non_integer_window_rejected_typed(self, tmp_path, attr, text):
-        data, replaced = re.subn(
-            rb'<query window_count="\d+"',
-            f'<query {attr}="{text}"'.encode(),
-            serialize_vsd(self.make_vsd(tmp_path)),
-        )
-        assert replaced == 1
-        with pytest.raises(SchemaViolation):
-            parse_vsd(data)
