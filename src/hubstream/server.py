@@ -52,19 +52,22 @@ the loop can never touch the session again.  stop() ends the loop and
 closes every socket, control connections included.
 
 Ingest publishes a batch in this order.  For each frame: validate and
-dedup (records_decoded moves); no record is built.  Then the accepted
-frame bodies go to the window buffer, and to the record log in one write
-and one flush, and only after that flush does frames_received move.  So
-a reader that sees frames_received cover a frame finds that frame in the
-log.  Records are decoded on read: STATUS_LATEST and STATUS_WINDOW are
-two renderings of one record, the body with the highest sequence number,
-decoded once per query.
+dedup (records_decoded moves); no record is built, and the wrapper keeps
+the accepted body with the highest sequence number.  Then the accepted
+frame bodies go to the record log in one write and one flush, and only
+after that flush does frames_received move.  So a reader that sees
+frames_received cover a frame finds that frame in the log.  Records are
+decoded on read: STATUS_LATEST and STATUS_WINDOW are two renderings of
+one record, that highest-sequence body, decoded once per query.  No other
+body is kept in memory.
 
 Durability: the record log is flushed to the operating system once per
 batch and never fsynced.  A crash of the server process loses at most the
 batch being ingested (the frames of one read, up to RECV_BYTES); a crash
 of the machine can lose whatever the operating system had not yet
-written.
+written.  A crash mid-write leaves a torn last entry, which the next
+MiddlewareCore on the store cuts off (and logs) when it opens, so the
+entries appended after it replay.
 
 Each accepted record is appended to a per-hub record log at
 ``<store>/data/<hub_id>.log``: an 8-byte big-endian arrival timestamp
@@ -86,7 +89,6 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -113,7 +115,6 @@ from .wrapper import (
     Strategy,
     StreamRecord,
     WrapperInstance,
-    WrapperPlan,
     compile_plan,
     instantiate,
 )
@@ -125,7 +126,6 @@ __all__ = [
     "RegistrationSession",
     "PortAllocator",
     "RecordLog",
-    "WindowBuffer",
     "MiddlewareCore",
     "MiddlewareServer",
     "STATUS_LIST",
@@ -141,9 +141,6 @@ DEFAULT_DATA_PORTS = (7100, 7199)
 STATUS_LIST = 0
 STATUS_LATEST = 1
 STATUS_WINDOW = 2
-
-# Frame bodies each session keeps in memory for status queries.
-WINDOW_BUFFER_LEN = 1024
 
 # Most bytes taken from one connection per read.  One read is one ingest
 # batch, and a control message waits for at most the batch being ingested.
@@ -231,39 +228,18 @@ class RecordLog:
                     raise FrameTooShort("record log truncated")
                 yield arrival, body
 
-
-class WindowBuffer(Sequence):
-    """The newest WINDOW_BUFFER_LEN frame bodies a session stored, oldest
-    first, read as records: an index, a slice or an iteration decodes the
-    bodies it takes through wrapper.decode_record, and nothing else."""
-
-    def __init__(self, plan: WrapperPlan, hub_id: str):
-        self.bodies: deque = deque(maxlen=WINDOW_BUFFER_LEN)
-        self._plan = plan
-        self._hub_id = hub_id
-
-    def _decode(self, body) -> StreamRecord:
-        return wrapper.decode_record(self._plan, body, self._hub_id)
-
-    def __len__(self) -> int:
-        return len(self.bodies)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._decode(body) for body in list(self.bodies)[index]]
-        return self._decode(self.bodies[index])
-
-    def __iter__(self):
-        return map(self._decode, list(self.bodies))
-
-    def latest(self) -> Optional[StreamRecord]:
-        """The record with the highest sequence number (the oldest of
-        equals), or None when the buffer is empty."""
-        bodies = list(self.bodies)
-        if not bodies:
-            return None
-        # the key is the 1-tuple (sequence,) read from the frame header
-        return self._decode(max(bodies, key=wire.U64.unpack_from))
+    @staticmethod
+    def recover(path: Path) -> int:
+        """Cut a log file after its last complete entry, so what is appended
+        next replays; returns how many bytes of a torn entry were dropped."""
+        complete = 0
+        with contextlib.suppress(FrameTooShort):
+            for _, body in RecordLog.replay(path):
+                complete += 12 + len(body)
+        dropped = path.stat().st_size - complete
+        if dropped:
+            os.truncate(path, complete)
+        return dropped
 
 
 class SessionState(Enum):
@@ -289,10 +265,16 @@ class RegistrationSession:
     bad_lengths: int = 0  # data connections dropped for an impossible frame length
     batches_failed: int = 0  # data connections dropped because ingesting a read raised
     log: Optional[RecordLog] = None
-    window_buffer: WindowBuffer = field(init=False)
 
-    def __post_init__(self):
-        self.window_buffer = WindowBuffer(self.instance.plan, self.hub_id)
+    @property
+    def window_buffer(self) -> tuple[StreamRecord, ...]:
+        """The definition's count-1 window: the stored record with the
+        highest sequence number, decoded on each read, or no record before
+        the first is stored."""
+        newest = self.instance.newest
+        if newest is None:
+            return ()
+        return (wrapper.decode_record(self.instance.plan, newest, self.hub_id),)
 
     @property
     def records_decoded(self) -> int:
@@ -326,6 +308,11 @@ class MiddlewareCore:
         self.repository = PlanRepository(self.store_dir)
         self.catalog = VsdCatalog(self.store_dir)
         self.ports = PortAllocator(*port_range)
+        # A crash mid-write leaves a torn last entry; cut it off once here,
+        # not on every open of a log: a hub that re-registers reopens its log.
+        for path in (self.store_dir / "data").glob("*.log"):
+            if dropped := RecordLog.recover(path):
+                _log.warning("record log %s: dropped %d bytes of a torn last entry", path, dropped)
         self.sessions: dict[str, RegistrationSession] = {}
         self._registering: set[str] = set()  # hub ids mid-registration
         self._lock = threading.Lock()
@@ -452,10 +439,10 @@ class MiddlewareCore:
         session's wrapper; returns how many were stored.
 
         Each frame is validated and deduplicated without being decoded.
-        The accepted bodies go to the window buffer and then to the record
-        log in one write and one flush, and only then does frames_received
-        move.  Malformed frames and sequence regressions are counted and
-        skipped; duplicates are dropped by the wrapper.
+        The accepted bodies go to the record log in one write and one
+        flush, and only then does frames_received move.  Malformed frames
+        and sequence regressions are counted and skipped; duplicates are
+        dropped by the wrapper.
         """
         on_stream_element = session.instance.on_stream_element
         stored = []
@@ -471,7 +458,6 @@ class MiddlewareCore:
             if accepted is not None:
                 stored.append(accepted)
         if stored:
-            session.window_buffer.bodies.extend(stored)
             if arrival_ms is None:
                 arrival_ms = int(time.time() * 1000)
             session.log.append(arrival_ms, *stored)
@@ -486,7 +472,7 @@ class MiddlewareCore:
         this returns.  Returns the stored record, or None when nothing was
         stored."""
         if self.ingest_batch(session, (frame_body,), arrival_ms):
-            return session.window_buffer[-1]
+            return wrapper.decode_record(session.instance.plan, frame_body, session.hub_id)
         return None
 
     # --- status ----------------------------------------------------------------
@@ -508,7 +494,8 @@ class MiddlewareCore:
         if kind not in (STATUS_LATEST, STATUS_WINDOW):
             raise MalformedDocument(f"unknown status kind {kind}")
         # both kinds render the one record with the highest sequence number
-        newest = session.window_buffer.latest()
+        window = session.window_buffer
+        newest = window[0] if window else None
         field_names = session.instance.plan.field_names
         out = io.StringIO()
         w = csv.writer(out)

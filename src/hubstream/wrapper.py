@@ -523,6 +523,7 @@ class WrapperInstance:
         self.state = LifecycleState.CREATED
         self.records_decoded = 0
         self.last_sequence = -1
+        self.newest: Optional[bytes] = None  # the accepted body of last_sequence
         self.duplicates_dropped = 0
         self.sequence_regressions = 0
         self._recent: deque[int] = deque()
@@ -557,7 +558,10 @@ class WrapperInstance:
         (records_decoded counts it), or None when it is a duplicate of a
         recently accepted sequence number (dropped and counted).  A frame
         SPSW would not decode raises SPSW's error; a sequence number older
-        than the reordering window raises SequenceRegression."""
+        than the reordering window raises SequenceRegression.  An accepted
+        body with a sequence number above every earlier one becomes newest:
+        a resend of that number is a duplicate while it is the highest, so
+        newest is the first body accepted with the highest number."""
         if self.state is not LifecycleState.RUNNING:
             self._illegal("on_stream_element")
         seq = self.plan._validate(frame)
@@ -576,5 +580,6 @@ class WrapperInstance:
             self._recent_set.discard(self._recent.popleft())
         if seq > self.last_sequence:
             self.last_sequence = seq
+            self.newest = frame
         self.records_decoded += 1
         return frame

@@ -877,8 +877,10 @@ class TestLiveSessions:
         session = server.core.get_session("order_hub")
         assert wait_until(lambda: session.frames_received == hub.frames_sent)
         replayed = RecordLog.replay(tmp_path / "data" / "order_hub.log")
-        sequences = [wire.FRAME_HEADER.unpack_from(body)[0] for _, body in replayed]
-        assert sequences == list(range(hub.frames_sent))
+        plan = session.instance.plan
+        records = [decode_record(plan, body) for _, body in replayed]
+        assert [record.sequence for record in records] == list(range(hub.frames_sent))
+        assert all(isinstance(value, float) for record in records for _, value in record.values)
         assert hub.queue_dropped == 0
 
 

@@ -34,7 +34,6 @@ from hubstream.server import (
     STATUS_WINDOW,
     ACCEPT_BACKOFF_S,
     RECV_BYTES,
-    WINDOW_BUFFER_LEN,
 )
 from hubstream.wrapper import LifecycleState, Strategy, decode_record
 
@@ -292,9 +291,10 @@ class TestIngest:
         assert core.ingest_batch(session, [good[0], bytes(bad), good[2]], arrival_ms=5) == 2
         assert session.frames_malformed == 1
         assert session.records_decoded == 2
-        assert [r.sequence for r in session.window_buffer] == [0, 2]
         entries = list(RecordLog.replay(tmp_path / "data" / "hub_a.log"))
         assert entries == [(5, good[0]), (5, good[2])]
+        plan = session.instance.plan
+        assert [decode_record(plan, body).sequence for _, body in entries] == [0, 2]
 
     def test_duplicate_stored_once(self, tmp_path):
         core, session = self.register(tmp_path)
@@ -340,29 +340,13 @@ class TestIngest:
         frames = [reference_frame(SMALL, [float(seq), "v"], seq, seq) for seq in range(5)]
         batch = [frames[0], frames[1], b"junk", frames[1], frames[2], frames[4], frames[3]]
         assert core.ingest_batch(session, batch, arrival_ms=77) == 5
-        assert [r.sequence for r in session.window_buffer] == [0, 1, 2, 4, 3]
         assert session.frames_received == 7
         assert session.frames_malformed == 1
         assert session.duplicates_dropped == 1
         entries = list(RecordLog.replay(tmp_path / "data" / "hub_a.log"))
         assert entries == [(77, f) for f in (frames[0], frames[1], frames[2], frames[4], frames[3])]
-
-    def test_window_buffer_keeps_the_newest(self, tmp_path):
-        core, session = self.register(tmp_path)
-        frames = [reference_frame(SMALL, [1.0, "v"], seq, 0) for seq in range(WINDOW_BUFFER_LEN + 5)]
-        core.ingest_batch(session, frames)
-        assert len(session.window_buffer) == WINDOW_BUFFER_LEN
-        assert session.window_buffer[0].sequence == 5
-
-    @pytest.mark.parametrize("window", [slice(-3, None), slice(-50, None), slice(2, 6, 2)])
-    def test_window_buffer_reads_like_a_list_of_its_records(self, tmp_path, window):
-        core, session = self.register(tmp_path)
-        for seq in (0, 1, 3, 2, 5, 4, 6, 7):
-            core.ingest_frame(session, reference_frame(SMALL, [seq / 2, f"m{seq}"], seq, seq * 100))
-        records = list(session.window_buffer)
-        assert [r.sequence for r in records] == [0, 1, 3, 2, 5, 4, 6, 7]
-        assert session.window_buffer[window] == records[window]
-        assert session.window_buffer[2] == records[2]
+        plan = session.instance.plan
+        assert [decode_record(plan, body).sequence for _, body in entries] == [0, 1, 2, 4, 3]
 
     def test_log_replays_to_identical_records(self, tmp_path):
         core, session = self.register(tmp_path)
@@ -389,6 +373,34 @@ class TestIngest:
         assert next(entries) == (7, b"b" * 20)
         with pytest.raises(FrameTooShort):
             next(entries)
+
+    @pytest.mark.parametrize("cut", [1, 7, 40], ids=["body_end", "body", "header"])
+    def test_torn_tail_is_cut_when_the_store_is_opened(self, tmp_path, caplog, cut):
+        """A crash mid-write leaves a torn last entry; the next server on the
+        store drops it, so what is appended after it replays."""
+        core, session = self.register(tmp_path)
+        frames = [reference_frame(SMALL, [float(seq), "v"], seq, seq) for seq in range(4)]
+        for seq in range(3):
+            core.ingest_frame(session, frames[seq], arrival_ms=seq)
+        core.shutdown()
+        path = tmp_path / "data" / "hub_a.log"
+        whole = path.read_bytes()
+        assert len(whole) == 3 * (12 + len(frames[2])) and cut < 12 + len(frames[2])
+        path.write_bytes(whole[:-cut])
+        core, session = self.register(tmp_path)
+        assert f"dropped {12 + len(frames[2]) - cut} bytes" in caplog.text
+        core.ingest_frame(session, frames[3], arrival_ms=3)
+        assert list(RecordLog.replay(path)) == [(0, frames[0]), (1, frames[1]), (3, frames[3])]
+
+    def test_a_whole_log_is_left_as_it_is_when_the_store_is_opened(self, tmp_path, caplog):
+        core, session = self.register(tmp_path)
+        core.ingest_frame(session, reference_frame(SMALL, [1.0, "v"], 0, 0))
+        core.shutdown()
+        path = tmp_path / "data" / "hub_a.log"
+        before = path.read_bytes()
+        MiddlewareCore(tmp_path)
+        assert path.read_bytes() == before
+        assert "dropped" not in caplog.text
 
     def test_replay_holds_one_entry_not_the_whole_log(self, tmp_path):
         path = tmp_path / "hub.log"
@@ -512,6 +524,54 @@ class TestStatus:
                 latest = list(csv.reader(io.StringIO(core.status_query(STATUS_LATEST, hub))))
                 window = list(csv.reader(io.StringIO(core.status_query(STATUS_WINDOW, hub))))
                 assert [r[2] for r in window[1:]] == latest[1][3:]
+            core.shutdown()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_latest_is_the_highest_sequence_in_the_log(self, tmp_path, strategy):
+        """Over random arrival orders with resends, regressions and junk,
+        STATUS_LATEST after each batch renders the logged body with the
+        highest sequence number, the first logged of equals."""
+        rng = random.Random(67)
+        for trial in range(12):
+            schema = random_schema(rng, max_fields=6)
+            hub = f"hub_{trial}"
+            core = MiddlewareCore(tmp_path / hub, strategy)
+            core.handle_register(doc_bytes(schema, hub))
+            session = core.get_session(hub)
+            plan = session.instance.plan
+            log_path = tmp_path / hub / "data" / f"{hub}.log"
+            top = 0
+            for _ in range(40):
+                batch = []
+                for _ in range(rng.randint(1, 12)):
+                    roll = rng.random()
+                    if roll < 0.1:
+                        batch.append(rng.choice([b"junk", bytes(rng.randrange(40))]))
+                        continue
+                    if roll < 0.25:
+                        seq = rng.randint(max(0, top - 70), top)  # mostly resends
+                    elif roll < 0.3:
+                        seq = max(0, top - rng.randint(72, 100))  # behind the dedup window
+                    else:
+                        top += rng.randint(1, 3)
+                        seq = rng.randint(max(0, top - 8), top)  # reordered near the front
+                    row = random_row(rng, schema)
+                    batch.append(reference_frame(schema, row, seq, rng.randrange(2**40)))
+                core.ingest_batch(session, batch)
+                expected = io.StringIO()
+                w = csv.writer(expected)
+                w.writerow(["hub_id", "sequence", "timestamp_ms", *plan.field_names])
+                bodies = [body for _, body in RecordLog.replay(log_path)]
+                if bodies:
+                    # max() keeps the first of equal keys
+                    rec = decode_record(plan, max(bodies, key=wire.U64.unpack_from), hub)
+                    w.writerow(
+                        [hub, rec.sequence, rec.timestamp_ms]
+                        + ["" if v is None else v for _, v in rec.values]
+                    )
+                assert core.status_query(STATUS_LATEST, hub) == expected.getvalue()
+            assert session.instance.sequence_regressions > 0
+            assert session.duplicates_dropped > 0
             core.shutdown()
 
 
@@ -699,7 +759,9 @@ class TestTcp:
         logged = [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
         assert logged == bodies
         plan = session.instance.plan
-        assert list(session.window_buffer) == [decode_record(plan, b, "hub_a") for b in bodies]
+        assert [decode_record(plan, body).values for body in logged] == [
+            (("temp", float(s)), ("mode", "m" * s)) for s in range(40)
+        ]
 
     def test_second_connection_waits_for_the_first(self, server):
         _, assign = register_over_tcp(server, SMALL)
