@@ -42,14 +42,6 @@ class RepositoryIO(HubStreamError):
     """Plan store could not be read or written."""
 
 
-class UnknownWrapper(HubStreamError):
-    """Connection request names a wrapper the repository does not hold."""
-
-
-class MissingInitParam(HubStreamError):
-    """Connection request lacks a required initialisation parameter."""
-
-
 class IllegalTransition(HubStreamError):
     """Lifecycle event not legal in the current state."""
 
@@ -64,7 +56,7 @@ class FrameTooShort(HubStreamError):
 
 
 class TypeTagMismatch(HubStreamError):
-    """Presence tag byte is neither 0x00 nor 0x01 (generic path only)."""
+    """Presence tag byte is neither 0x00 nor 0x01."""
 
 
 class TrailingBytes(HubStreamError):

@@ -50,6 +50,7 @@ __all__ = [
     "serialize_musdd",
     "parse_musdd",
     "fingerprint",
+    "schema_fingerprint",
     "canonical_schema_bytes",
 ]
 
@@ -298,12 +299,12 @@ def _hub_id(hub_id: str) -> str:
 
 # --- fingerprinting --------------------------------------------------------
 
-def canonical_schema_bytes(doc: MicroSDD) -> bytes:
-    """Canonical byte string the fingerprint is computed over: the sensor
-    list sorted by name, one ``name:TYPE\\n`` line each.  Hub identity,
-    context, units, and sample periods are deliberately excluded so hubs
-    with identical field schemas share one decode plan."""
-    lines = sorted(f"{s.name}:{s.value_type.name}\n" for s in doc.sensors)
+def canonical_schema_bytes(fields) -> bytes:
+    """Canonical byte string the fingerprint is computed over, from (name,
+    ValueType) pairs: sorted by name, one ``name:TYPE\\n`` line each.  Hub
+    identity, context, units, and sample periods are deliberately excluded
+    so hubs with identical field schemas share one decode plan."""
+    lines = sorted(f"{name}:{value_type.name}\n" for name, value_type in fields)
     return "".join(lines).encode("ascii")
 
 
@@ -311,9 +312,15 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def schema_fingerprint(fields) -> SchemaFingerprint:
+    """Content-address a schema given as (name, ValueType) pairs, such as a
+    plan's field layout."""
+    return SchemaFingerprint(_digest(canonical_schema_bytes(fields)))
+
+
 def fingerprint(doc: MicroSDD) -> SchemaFingerprint:
     """Content-address the document's sensor schema (shape only, not rate)."""
-    return SchemaFingerprint(_digest(canonical_schema_bytes(doc)))
+    return schema_fingerprint((s.name, s.value_type) for s in doc.sensors)
 
 
 # Digest the schema-agnostic generic plan persists under: the fingerprint

@@ -2,7 +2,7 @@
 
 MiddlewareCore is the engine: it runs the whole registration pipeline
 in-process (parse, fingerprint, plan lookup/compile, virtual sensor
-definition, connection request, instance lifecycle, port assignment),
+definition, port assignment, instance lifecycle),
 ingests frames, and answers status queries.  Benchmarks and most
 tests drive the core directly with no sockets involved.
 
@@ -13,9 +13,8 @@ the server's thread count does not grow with the number of hubs or
 clients.  Registration steps run in this order:
 
     parse -> fingerprint -> plan lookup/compile -> generate definition
-          -> reserve port -> connection request -> instantiate
-          -> initialize -> start -> open record log -> bind data port
-          -> reply
+          -> reserve port -> instantiate -> initialize -> start
+          -> open record log -> bind data port -> reply
 
 and the elapsed wall time of the core's steps, through opening the record
 log, is recorded on the session as configuration_time_ms.  A failure at
@@ -67,7 +66,9 @@ batch being ingested (the frames of one read, up to RECV_BYTES); a crash
 of the machine can lose whatever the operating system had not yet
 written.  A crash mid-write leaves a torn last entry, which the next
 MiddlewareCore on the store cuts off (and logs) when it opens, so the
-entries appended after it replay.
+entries appended after it replay.  The bytes cut are appended to
+``<hub_id>.log.torn`` beside the log first: a corrupt length in the middle
+of a log looks torn too, and the entries after it are kept there.
 
 Each accepted record is appended to a per-hub record log at
 ``<store>/data/<hub_id>.log``: an 8-byte big-endian arrival timestamp
@@ -85,6 +86,7 @@ import logging
 import os
 import secrets
 import selectors
+import shutil
 import socket
 import threading
 import time
@@ -107,8 +109,8 @@ from .errors import (
     TypeTagMismatch,
     UnknownHub,
 )
-from .sdd import SchemaFingerprint, fingerprint, parse_musdd
-from .vsd import QUERY_OP, VsdCatalog, eval_window_query, make_wcr
+from .sdd import fingerprint, parse_musdd
+from .vsd import QUERY_OP, VsdCatalog, eval_window_query
 from .wrapper import (
     LifecycleState,
     PlanRepository,
@@ -229,17 +231,28 @@ class RecordLog:
                 yield arrival, body
 
     @staticmethod
-    def recover(path: Path) -> int:
+    def recover(path: Path) -> None:
         """Cut a log file after its last complete entry, so what is appended
-        next replays; returns how many bytes of a torn entry were dropped."""
+        next replays, and log how many bytes were cut.  They are first
+        appended to a side file, ``<name>.torn``: a corrupt length looks like
+        a torn entry, and the good entries after it must survive."""
         complete = 0
         with contextlib.suppress(FrameTooShort):
             for _, body in RecordLog.replay(path):
                 complete += 12 + len(body)
         dropped = path.stat().st_size - complete
         if dropped:
+            torn = path.with_name(path.name + ".torn")
+            with open(path, "rb") as src, open(torn, "ab") as dst:
+                src.seek(complete)
+                shutil.copyfileobj(src, dst)
+                dst.flush()
+                os.fsync(dst.fileno())
             os.truncate(path, complete)
-        return dropped
+            _log.warning(
+                "record log %s: dropped %d bytes after its last complete entry; saved them to %s",
+                path, dropped, torn,
+            )
 
 
 class SessionState(Enum):
@@ -251,8 +264,6 @@ class SessionState(Enum):
 @dataclass
 class RegistrationSession:
     hub_id: str
-    fingerprint: SchemaFingerprint
-    strategy: Strategy
     data_port: int
     instance: WrapperInstance
     token: bytes
@@ -311,8 +322,7 @@ class MiddlewareCore:
         # A crash mid-write leaves a torn last entry; cut it off once here,
         # not on every open of a log: a hub that re-registers reopens its log.
         for path in (self.store_dir / "data").glob("*.log"):
-            if dropped := RecordLog.recover(path):
-                _log.warning("record log %s: dropped %d bytes of a torn last entry", path, dropped)
+            RecordLog.recover(path)
         self.sessions: dict[str, RegistrationSession] = {}
         self._registering: set[str] = set()  # hub ids mid-registration
         self._lock = threading.Lock()
@@ -351,20 +361,16 @@ class MiddlewareCore:
         try:
             if existing is not None:
                 self._release(existing)
-            fp = fingerprint(doc)
             plan, cache_hit = self.repository.lookup_or_add(
-                fp, self.strategy, lambda: compile_plan(doc, self.strategy)
+                fingerprint(doc), self.strategy, lambda: compile_plan(doc, self.strategy)
             )
             vsd = self.catalog.generate_vsd(doc, plan)
             port = self.ports.reserve()
-            wcr = make_wcr(vsd, port)
-            instance = instantiate(wcr, self.repository)
+            instance = instantiate(plan, doc.hub_id)
             instance.initialize()
             instance.start()
             session = RegistrationSession(
                 hub_id=doc.hub_id,
-                fingerprint=fp,
-                strategy=self.strategy,
                 data_port=port,
                 instance=instance,
                 token=secrets.token_bytes(wire.TOKEN_LEN),
@@ -487,7 +493,7 @@ class MiddlewareCore:
                 rows = sorted(self.sessions.values(), key=lambda s: s.hub_id)
             for s in rows:
                 w.writerow(
-                    [s.hub_id, s.state.value, s.records_decoded, s.fingerprint.digest]
+                    [s.hub_id, s.state.value, s.records_decoded, s.instance.plan.fingerprint.digest]
                 )
             return out.getvalue()
         session = self.get_session(hub_id)

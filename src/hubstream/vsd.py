@@ -1,8 +1,8 @@
 """Virtual sensor definitions and the one query they carry.
 
 Every registered hub gets exactly one virtual sensor definition: a
-declaration binding the hub's output schema to its stream source (the
-wrapper name; make_wcr adds the init parameters).  The definition is
+declaration binding the hub's output schema to its stream source, the
+wrapper named after the hub's plan.  The definition is
 persisted for inspection at ``<store>/vsd/vs_<hub_id>.xml`` in a document
 format mirroring the hub self-description grammar with an added
 ``<address wrapper="..."/>`` element:
@@ -28,17 +28,11 @@ from xml.sax.saxutils import quoteattr
 
 from .errors import NameCollision, RepositoryIO
 from .sdd import MicroSDD, ValueType
-from .wrapper import (
-    StreamRecord,
-    WrapperPlan,
-    WrapperConnectionRequest,
-    wrapper_name_for,
-)
+from .wrapper import StreamRecord, WrapperPlan, wrapper_name_for
 
 __all__ = [
     "VirtualSensorDefinition",
     "VsdCatalog",
-    "make_wcr",
     "eval_window_query",
     "serialize_vsd",
     "QUERY_OP",
@@ -53,15 +47,6 @@ class VirtualSensorDefinition:
     hub_id: str
     output_fields: tuple[tuple[str, ValueType], ...]
     wrapper_name: str
-
-
-def make_wcr(vsd: VirtualSensorDefinition, data_port: int) -> WrapperConnectionRequest:
-    """Derive the connection request: the wrapper named by the definition's
-    address block, initialized with the assigned port and the hub id."""
-    return WrapperConnectionRequest(
-        wrapper_name=vsd.wrapper_name,
-        init_params={"data_port": data_port, "hub_id": vsd.hub_id},
-    )
 
 
 def eval_window_query(field_names, newest: StreamRecord | None) -> list:

@@ -12,10 +12,10 @@ Two strategies turn a hub's schema into a frame decoder:
   fingerprint.  Compilation precomputes the decode work a generic wrapper
   repeats per record: a single precompiled struct covering the whole field
   region (taken when the frame length matches the all-present layout of a
-  fixed-width schema) and, for the general case, a table of (field name,
-  payload unpacker) pairs walked in one loop that never consults the
-  schema again.  The specialized path treats any nonzero presence tag as
-  present; the validator below is what rejects one.
+  fixed-width schema and every presence tag is 0x01) and, for the general
+  case, a table of (field name, payload unpacker) pairs walked in one loop
+  that never consults the schema again.  Like SPSW, it rejects a presence
+  tag other than 0x00 or 0x01 with TypeTagMismatch.
 
 Both strategies must decode every valid frame identically; the generic
 path doubles as the oracle for the specialized one in tests.
@@ -36,7 +36,9 @@ self-describing header (magic ``MSHP``, format version, strategy byte,
 field table).  The SPSW plan persists as a single generic file keyed by
 the empty-schema digest regardless of how many schemas use it; the field
 layout each SPSW registration needs at runtime lives on the in-memory
-plan object and on the wrapper instance, not on disk.
+plan object and on the wrapper instance, not on disk.  A stored plan is
+served only if its strategy byte matches its directory and its field
+table fingerprints to its file name.
 
 A WrapperInstance drives one hub's stream through the five-method
 lifecycle: initialize, start, stop, dispose, and on_stream_element, with
@@ -50,6 +52,7 @@ RUNNING, and DISPOSED is absorbing.
 
 from __future__ import annotations
 
+import logging
 import os
 import struct
 import threading
@@ -65,14 +68,19 @@ from .errors import (
     IllegalTransition,
     InvalidText,
     MalformedDocument,
-    MissingInitParam,
     RepositoryIO,
     SequenceRegression,
     TrailingBytes,
     TypeTagMismatch,
-    UnknownWrapper,
 )
-from .sdd import GENERIC_SCHEMA_DIGEST, MicroSDD, SchemaFingerprint, ValueType, fingerprint
+from .sdd import (
+    GENERIC_SCHEMA_DIGEST,
+    MicroSDD,
+    SchemaFingerprint,
+    ValueType,
+    fingerprint,
+    schema_fingerprint,
+)
 from .wire import FRAME_HEADER, F64, I64, U32, U64, pack_field_table, unpack_field_table
 
 __all__ = [
@@ -80,7 +88,6 @@ __all__ = [
     "FieldSpec",
     "WrapperPlan",
     "StreamRecord",
-    "WrapperConnectionRequest",
     "LifecycleState",
     "WrapperInstance",
     "PlanRepository",
@@ -89,10 +96,11 @@ __all__ = [
     "load_plan",
     "decode_record",
     "wrapper_name_for",
-    "parse_wrapper_name",
     "PLAN_MAGIC",
     "DEDUP_WINDOW",
 ]
+
+_log = logging.getLogger(__name__)
 
 PLAN_MAGIC = b"MSHP"
 PLAN_FORMAT_VERSION = 1
@@ -159,25 +167,8 @@ class WrapperPlan:
         return tuple(f.name for f in self.field_layout)
 
 
-@dataclass(frozen=True)
-class WrapperConnectionRequest:
-    """Address block handed from the virtual-sensor side to the repository:
-    which wrapper to run and how to initialize it."""
-
-    wrapper_name: str
-    init_params: dict
-
-
 def wrapper_name_for(strategy: Strategy, fingerprint: SchemaFingerprint) -> str:
     return f"{strategy.tag}_{fingerprint.digest}"
-
-
-def parse_wrapper_name(name: str) -> tuple[Strategy, str]:
-    tag, _, digest = name.partition("_")
-    try:
-        return Strategy.from_tag(tag), digest
-    except ValueError as exc:
-        raise UnknownWrapper(f"unresolvable wrapper name {name!r}") from exc
 
 
 # --- decoding -------------------------------------------------------------
@@ -235,7 +226,8 @@ def _build_dgcw_decoder(layout: tuple[FieldSpec, ...]) -> Callable:
     """Precompute everything the generic path looks up per record: a table
     of (name, payload unpacker) walked without consulting the schema, and
     for a fixed-width schema one struct covering a frame with every field
-    present."""
+    present (taken when the frame has that length and every presence tag
+    is 0x01)."""
     table = tuple((name, _UNPACKER[value_type]) for name, value_type in layout)
     unpack_length = U32.unpack_from
 
@@ -245,9 +237,11 @@ def _build_dgcw_decoder(layout: tuple[FieldSpec, ...]) -> Callable:
         for name, unpack in table:
             if pos >= end:
                 raise FrameTooShort(f"frame ends before field {name!r}")
-            present = data[pos]
+            presence = data[pos]
             pos += 1
-            if not present:
+            if presence != 0x01:
+                if presence:
+                    raise TypeTagMismatch(f"presence tag {presence:#04x} at field {name!r}")
                 out.append((name, None))
                 continue
             try:
@@ -278,9 +272,10 @@ def _build_dgcw_decoder(layout: tuple[FieldSpec, ...]) -> Callable:
     all_present = struct.Struct(">" + codes)
     nominal = all_present.size
     unpack = all_present.unpack_from
+    tags = b"\x01" * len(names)
 
     def decode(data: bytes, pos: int) -> tuple:
-        if len(data) - pos == nominal:
+        if len(data) - pos == nominal and data[pos::9] == tags:
             flat = unpack(data, pos)
             return tuple(zip(names, flat[1::2]))
         return walk(data, pos)
@@ -345,7 +340,7 @@ def decode_record(plan: WrapperPlan, frame: bytes, hub_id: str = "") -> StreamRe
 
     Raises:
         FrameTooShort: frame truncated inside the header or a field.
-        TypeTagMismatch: SPSW only; presence byte is neither 0x00 nor 0x01.
+        TypeTagMismatch: a presence byte is neither 0x00 nor 0x01.
         TrailingBytes: bytes remain after the last declared field.
         InvalidText: a STRING field is not valid UTF-8.
     """
@@ -417,6 +412,9 @@ class PlanRepository:
     reopened on the same store directory serves cache hits without
     recompiling (SPSW's per-schema layouts are runtime state, not files,
     so those re-derive after a restart; the single generic file persists).
+    A file whose strategy byte or field table does not match its path is
+    logged and left out; the next lookup compiles that plan and rewrites
+    the file.
     """
 
     def __init__(self, store_dir: str | os.PathLike):
@@ -442,6 +440,11 @@ class PlanRepository:
                     plan = load_plan(path.read_bytes(), digest)
                 except OSError as exc:
                     raise RepositoryIO(f"cannot read {path}: {exc}") from exc
+                if plan.strategy is not strategy or (
+                    schema_fingerprint(plan.field_layout) != plan.fingerprint
+                ):
+                    _log.warning("plan file %s does not match its path; not serving it", path)
+                    continue
                 self._plans[(strategy, digest)] = plan
 
     def _path_for(self, strategy: Strategy, digest: str) -> Path:
@@ -477,30 +480,11 @@ class PlanRepository:
             self._plans[key] = plan
             return plan, False
 
-    def get(self, strategy: Strategy, digest: str) -> WrapperPlan:
-        with self._lock:
-            plan = self._plans.get((strategy, digest))
-        if plan is None:
-            raise UnknownWrapper(f"no plan for {strategy.tag}_{digest}")
-        return plan
 
-
-def instantiate(
-    wcr: WrapperConnectionRequest, repository: PlanRepository
-) -> "WrapperInstance":
-    """Resolve a connection request against the repository and build the
-    wrapper instance (in CREATED state; the caller drives the lifecycle).
-
-    Raises:
-        UnknownWrapper: wrapper_name does not resolve to a stored plan.
-        MissingInitParam: init_params lacks data_port or hub_id.
-    """
-    for param in ("data_port", "hub_id"):
-        if param not in wcr.init_params:
-            raise MissingInitParam(f"init_params missing {param!r}")
-    strategy, digest = parse_wrapper_name(wcr.wrapper_name)
-    plan = repository.get(strategy, digest)
-    return WrapperInstance(plan=plan, hub_id=str(wcr.init_params["hub_id"]))
+def instantiate(plan: WrapperPlan, hub_id: str) -> "WrapperInstance":
+    """Build the hub's wrapper instance on its plan, in CREATED state; the
+    caller drives the lifecycle."""
+    return WrapperInstance(plan, hub_id)
 
 
 # --- lifecycle --------------------------------------------------------------

@@ -209,7 +209,8 @@ class TestFingerprint:
         doc = make_doc([("b", ValueType.STRING), ("a", ValueType.INT)])
         expected = hashlib.blake2b(b"a:INT\nb:STRING\n", digest_size=16).hexdigest()
         assert fingerprint(doc).digest == expected
-        assert canonical_schema_bytes(doc) == b"a:INT\nb:STRING\n"
+        pairs = [(s.name, s.value_type) for s in doc.sensors]
+        assert canonical_schema_bytes(pairs) == b"a:INT\nb:STRING\n"
 
     @settings(max_examples=120, deadline=None)
     @given(documents(), st.randoms())

@@ -392,6 +392,26 @@ class TestIngest:
         core.ingest_frame(session, frames[3], arrival_ms=3)
         assert list(RecordLog.replay(path)) == [(0, frames[0]), (1, frames[1]), (3, frames[3])]
 
+    def test_a_corrupt_length_loses_no_byte_when_the_store_is_opened(self, tmp_path, caplog):
+        """A flipped bit in a length in the middle of a log looks like a torn
+        entry to recovery, which cuts the log there; the bytes cut are kept
+        beside the log, so no good entry after it is destroyed."""
+        schema = [("v", ValueType.INT)]
+        core, session = self.register(tmp_path, schema)
+        frames = [reference_frame(schema, [seq], seq, seq) for seq in range(1000)]
+        core.ingest_batch(session, frames, arrival_ms=7)
+        core.shutdown()
+        path = tmp_path / "data" / "hub_a.log"
+        damaged = bytearray(path.read_bytes())
+        entry = 12 + len(frames[0])
+        damaged[entry + 8] ^= 0x80  # the high byte of the second entry's length
+        path.write_bytes(damaged)
+        MiddlewareCore(tmp_path)
+        torn = tmp_path / "data" / "hub_a.log.torn"
+        assert path.read_bytes() + torn.read_bytes() == damaged
+        assert len(path.read_bytes()) == entry
+        assert str(torn) in caplog.text
+
     def test_a_whole_log_is_left_as_it_is_when_the_store_is_opened(self, tmp_path, caplog):
         core, session = self.register(tmp_path)
         core.ingest_frame(session, reference_frame(SMALL, [1.0, "v"], 0, 0))

@@ -1,18 +1,25 @@
-"""Virtual sensor definitions, connection requests, the fixed query."""
+"""Virtual sensor definitions, their address blocks, the fixed query."""
 
 import random
+import re
 
 import pytest
 
 from hubstream.errors import NameCollision
-from hubstream.sdd import SensorDescriptor, ValueType, build_musdd, fingerprint
-from hubstream.vsd import VsdCatalog, eval_window_query, make_wcr, serialize_vsd
+from hubstream.sdd import (
+    GENERIC_SCHEMA_DIGEST,
+    SensorDescriptor,
+    ValueType,
+    build_musdd,
+    fingerprint,
+)
+from hubstream.vsd import VsdCatalog, eval_window_query, serialize_vsd
 from hubstream.wrapper import (
     PlanRepository,
     Strategy,
     StreamRecord,
     compile_plan,
-    instantiate,
+    load_plan,
 )
 
 from oracles import random_schema
@@ -77,36 +84,36 @@ class TestGenerate:
             assert vsd.output_fields == from_doc == from_plan
 
 
-class TestMakeWcr:
-    def test_field_mapping(self, tmp_path):
-        doc = doc_for([("t", ValueType.INT)], hub="h1")
-        plan = compile_plan(doc, Strategy.DGCW)
-        vsd = VsdCatalog(tmp_path).generate_vsd(doc, plan)
-        wcr = make_wcr(vsd, 7100)
-        assert wcr.wrapper_name == vsd.wrapper_name
-        assert wcr.init_params == {"data_port": 7100, "hub_id": "h1"}
-
-    def test_two_ports_differ_only_in_port(self, tmp_path):
-        doc = doc_for([("t", ValueType.INT)])
-        vsd = VsdCatalog(tmp_path).generate_vsd(doc, compile_plan(doc, Strategy.DGCW))
-        a, b = make_wcr(vsd, 7100), make_wcr(vsd, 7200)
-        assert a.wrapper_name == b.wrapper_name
-        assert a.init_params["hub_id"] == b.init_params["hub_id"]
-        assert (a.init_params["data_port"], b.init_params["data_port"]) == (7100, 7200)
-
-    def test_wcr_always_instantiable_against_compiling_repo(self, tmp_path):
+class TestAddress:
+    def test_every_live_address_names_a_stored_plan(self, tmp_path):
+        """The address block of each definition file names the plan file the
+        hub's wrapper runs: DGCW's per-schema file, with the definition's
+        fields, or SPSW's one generic file."""
         rng = random.Random(31)
         repo = PlanRepository(tmp_path)
         catalog = VsdCatalog(tmp_path)
+        hubs = []
         for i in range(40):
-            strategy = rng.choice(list(Strategy))
-            doc = doc_for(random_schema(rng, max_fields=8), hub=f"hub_{i}")
-            plan, _ = repo.lookup_or_add(
-                fingerprint(doc), strategy, lambda: compile_plan(doc, strategy)
-            )
-            vsd = catalog.generate_vsd(doc, plan)
-            inst = instantiate(make_wcr(vsd, 9000 + i), repo)
-            assert inst.hub_id == f"hub_{i}"
+            schema = random_schema(rng, max_fields=8)
+            for strategy in Strategy:
+                doc = doc_for(schema, hub=f"hub_{i}_{strategy.tag}")
+                plan, _ = repo.lookup_or_add(
+                    fingerprint(doc), strategy, lambda: compile_plan(doc, strategy)
+                )
+                catalog.generate_vsd(doc, plan)
+                hubs.append(doc.hub_id)
+        address = re.compile(r'<address wrapper="([a-z]+)_([0-9a-f]{32})"/>')
+        for hub in hubs:
+            vsd = catalog.live(hub)
+            text = (tmp_path / "vsd" / f"{vsd.vsd_name}.xml").read_text()
+            tag, digest = address.search(text).groups()
+            if tag == "dgcw":
+                path = tmp_path / "plans" / "dgcw" / f"{digest}.plan"
+                assert load_plan(path.read_bytes(), digest).field_layout == vsd.output_fields
+            else:
+                assert tag == "spsw"
+                path = tmp_path / "plans" / "spsw" / f"{GENERIC_SCHEMA_DIGEST}.plan"
+                assert load_plan(path.read_bytes(), GENERIC_SCHEMA_DIGEST).strategy is Strategy.SPSW
 
 
 class TestEval:

@@ -13,11 +13,9 @@ from hubstream.errors import (
     IllegalTransition,
     InvalidText,
     MalformedDocument,
-    MissingInitParam,
     SequenceRegression,
     TrailingBytes,
     TypeTagMismatch,
-    UnknownWrapper,
 )
 from hubstream.sdd import (
     GENERIC_SCHEMA_DIGEST,
@@ -32,14 +30,12 @@ from hubstream.wrapper import (
     PlanRepository,
     Strategy,
     StreamRecord,
-    WrapperConnectionRequest,
     WrapperInstance,
     compile_plan,
     decode_record,
     instantiate,
     load_plan,
     serialize_plan,
-    wrapper_name_for,
 )
 
 from oracles import (
@@ -139,10 +135,10 @@ class TestDecode:
 
     def test_spsw_rejects_bad_presence_tag(self):
         schema = [("f", ValueType.INT)]
-        spsw, _ = plans_for(schema)
         frame = struct.pack(">QQ", 0, 0) + bytes([0x07]) + struct.pack(">q", 1)
-        with pytest.raises(TypeTagMismatch):
-            decode_record(spsw, frame)
+        for plan in plans_for(schema):
+            with pytest.raises(TypeTagMismatch, match="presence tag 0x07 at field 'f'"):
+                decode_record(plan, frame)
 
     def test_string_length_beyond_frame(self):
         schema = [("s", ValueType.STRING)]
@@ -187,13 +183,12 @@ def decode_outcome(plan, frame):
 
 class TestStrategyParityOnDamagedFrames:
     """DGCW must decode what SPSW decodes and fail where SPSW fails, with the
-    same error, on frames cut short, frames with a byte too many and strings
-    that are not UTF-8.  Presence tags are left intact: DGCW does not check
-    them."""
+    same error, on frames cut short, frames with a byte too many, presence
+    tags other than 0 or 1 and strings that are not UTF-8."""
 
     @settings(max_examples=300, deadline=None)
-    @given(schemas_with_rows(), st.integers(0, 255))
-    def test_dgcw_fails_like_spsw(self, case, extra_byte):
+    @given(schemas_with_rows(), st.integers(0, 255), st.integers(2, 255))
+    def test_dgcw_fails_like_spsw(self, case, extra_byte, bad_tag):
         schema, row = case
         spsw, dgcw = plans_for(schema)
         reloaded = load_plan(serialize_plan(dgcw), dgcw.fingerprint.digest)
@@ -201,9 +196,11 @@ class TestStrategyParityOnDamagedFrames:
         frames = [frame[:cut] for cut in range(len(frame) + 1)]
         frames.append(frame + bytes([extra_byte]))
         for i, ((_, vtype), value) in enumerate(zip(schema, row)):
+            # header, the fields before: the presence byte
+            at = 16 + len(reference_encode_fields(schema[:i], row[:i]))
+            frames.append(frame[:at] + bytes([bad_tag]) + frame[at + 1 :])
             if vtype is ValueType.STRING and value:
-                # header, the fields before, presence byte, length prefix
-                at = 16 + len(reference_encode_fields(schema[:i], row[:i])) + 5
+                at += 5  # the presence byte, the length prefix: the first text byte
                 frames.append(frame[:at] + b"\xff" + frame[at + 1 :])
         for body in frames:
             expected = decode_outcome(spsw, body)
@@ -368,6 +365,35 @@ class TestRepository:
         files = {p.stem for p in (tmp_path / "plans" / "dgcw").glob("*.plan")}
         assert files == fps
 
+    @pytest.mark.parametrize("case", ["renamed_field", "dgcw_file_in_spsw", "spsw_file_in_dgcw"])
+    def test_plan_file_that_does_not_match_its_path_is_not_served(self, tmp_path, caplog, case):
+        """A plan is stored under its strategy and fingerprint; a file whose
+        strategy byte or field table says otherwise is skipped and logged,
+        and the next lookup compiles the plan again."""
+        doc = doc_for([("temp", ValueType.DOUBLE), ("hum", ValueType.INT)])
+        fp = fingerprint(doc)
+        repo = PlanRepository(tmp_path)
+        for strategy in Strategy:
+            repo.lookup_or_add(fp, strategy, lambda s=strategy: compile_plan(doc, s))
+        plans = tmp_path / "plans"
+        dgcw_file = plans / "dgcw" / f"{fp.digest}.plan"
+        if case == "renamed_field":
+            strategy, path = Strategy.DGCW, dgcw_file
+            path.write_bytes(path.read_bytes().replace(b"temp", b"tamp"))
+        elif case == "dgcw_file_in_spsw":
+            strategy, path = Strategy.SPSW, plans / "spsw" / f"{fp.digest}.plan"
+            path.write_bytes(dgcw_file.read_bytes())
+        else:
+            strategy, path = Strategy.DGCW, dgcw_file
+            path.write_bytes((plans / "spsw" / f"{GENERIC_SCHEMA_DIGEST}.plan").read_bytes())
+        reopened = PlanRepository(tmp_path)
+        assert str(path) in caplog.text
+        plan, hit = reopened.lookup_or_add(fp, strategy, lambda: compile_plan(doc, strategy))
+        assert hit is False
+        assert (plan.strategy, plan.field_names) == (strategy, ("temp", "hum"))
+        if strategy is Strategy.DGCW:
+            assert path.read_bytes() == serialize_plan(plan)
+
     def test_concurrent_lookups_single_writer(self, tmp_path):
         repo = PlanRepository(tmp_path)
         doc = doc_for([("a", ValueType.INT)])
@@ -392,43 +418,15 @@ class TestRepository:
 
 
 class TestInstantiate:
-    def make_repo(self, tmp_path, doc, strategy):
-        repo = PlanRepository(tmp_path)
-        plan, _ = repo.lookup_or_add(
-            fingerprint(doc), strategy, lambda: compile_plan(doc, strategy)
-        )
-        return repo, plan
-
     def test_resolves_and_builds_created_instance(self, tmp_path):
         doc = doc_for([("a", ValueType.INT)])
-        repo, plan = self.make_repo(tmp_path, doc, Strategy.DGCW)
-        wcr = WrapperConnectionRequest(
-            wrapper_name=wrapper_name_for(Strategy.DGCW, plan.fingerprint),
-            init_params={"data_port": 9000, "hub_id": "hub_a"},
+        plan, _ = PlanRepository(tmp_path).lookup_or_add(
+            fingerprint(doc), Strategy.DGCW, lambda: compile_plan(doc, Strategy.DGCW)
         )
-        inst = instantiate(wcr, repo)
+        inst = instantiate(plan, "hub_a")
         assert inst.state is LifecycleState.CREATED
         assert inst.plan is plan
         assert inst.hub_id == "hub_a"
-
-    def test_missing_init_param(self, tmp_path):
-        doc = doc_for([("a", ValueType.INT)])
-        repo, plan = self.make_repo(tmp_path, doc, Strategy.DGCW)
-        wcr = WrapperConnectionRequest(
-            wrapper_name=wrapper_name_for(Strategy.DGCW, plan.fingerprint),
-            init_params={"hub_id": "hub_a"},
-        )
-        with pytest.raises(MissingInitParam):
-            instantiate(wcr, repo)
-
-    def test_unknown_wrapper(self, tmp_path):
-        repo = PlanRepository(tmp_path)
-        wcr = WrapperConnectionRequest(
-            wrapper_name="dgcw_" + "0" * 32,
-            init_params={"data_port": 1, "hub_id": "h"},
-        )
-        with pytest.raises(UnknownWrapper):
-            instantiate(wcr, repo)
 
 
 def make_instance(schema=None):
