@@ -10,7 +10,12 @@ MiddlewareServer is the network shell around a core: one thread runs one
 non-blocking ``selectors`` loop that owns the control listener, every
 control connection, every assigned data port and every hub connection, so
 the server's thread count does not grow with the number of hubs or
-clients.  Registration steps run in this order:
+clients.  The loop also owns the core, which takes no locks: every call
+that changes it runs on the loop thread, or in stop() once the loop has
+exited.  Another thread changes the core only through
+MiddlewareServer.teardown() and stop(); it may read the sessions dict,
+get_session, a session's counters and ports.active_count(), each one dict
+read or len, atomic under the GIL.  Registration steps run in this order:
 
     parse -> fingerprint -> plan lookup/compile -> generate definition
           -> reserve port -> instantiate -> initialize -> start
@@ -46,9 +51,9 @@ descriptor leaves that listener unwatched for ACCEPT_BACKOFF_S rather
 than spinning on it.
 
 Tearing a session down closes its sockets on the loop thread (between two
-rounds of events, unless the loop itself tears down) and returns only once
-the loop can never touch the session again.  stop() ends the loop and
-closes every socket, control connections included.
+rounds of events, when another thread asks through teardown()) and returns
+only once the loop can never touch the session again.  stop() ends the
+loop and closes every socket, control connections included.
 
 Ingest publishes a batch in this order.  For each frame: validate and
 dedup (records_decoded moves); no record is built, and the wrapper keeps
@@ -155,40 +160,35 @@ ACCEPT_BACKOFF_S = 0.1
 
 class PortAllocator:
     """Hands out data ports from an inclusive range; released ports are
-    reusable.  Thread-safe."""
+    reusable."""
 
     def __init__(self, lo: int, hi: int):
         if lo > hi:
             raise ValueError(f"empty port range {lo}-{hi}")
-        self._lock = threading.Lock()
         self._free = list(range(hi, lo - 1, -1))  # pop() yields lo first
         self._taken: set[int] = set()
 
     def reserve(self) -> int:
-        with self._lock:
-            if not self._free:
-                raise NoFreePort("data port range exhausted")
-            port = self._free.pop()
-            self._taken.add(port)
-            return port
+        if not self._free:
+            raise NoFreePort("data port range exhausted")
+        port = self._free.pop()
+        self._taken.add(port)
+        return port
 
     def release(self, port: int) -> None:
-        with self._lock:
-            if port in self._taken:
-                self._taken.remove(port)
-                self._free.append(port)
+        if port in self._taken:
+            self._taken.remove(port)
+            self._free.append(port)
 
     def defer(self, port: int) -> None:
         """Hand a free port out again only after every other free port (its
         bind failed: something else holds it)."""
-        with self._lock:
-            if port in self._free:
-                self._free.remove(port)
-                self._free.insert(0, port)
+        if port in self._free:
+            self._free.remove(port)
+            self._free.insert(0, port)
 
     def active_count(self) -> int:
-        with self._lock:
-            return len(self._taken)
+        return len(self._taken)
 
 
 class RecordLog:
@@ -256,7 +256,6 @@ class RecordLog:
 
 
 class SessionState(Enum):
-    CONFIGURING = "configuring"
     ACTIVE = "active"
     TORN_DOWN = "torn_down"
 
@@ -267,7 +266,7 @@ class RegistrationSession:
     data_port: int
     instance: WrapperInstance
     token: bytes
-    state: SessionState = SessionState.CONFIGURING
+    state: SessionState = SessionState.ACTIVE
     cache_hit: bool = False
     configuration_time_ms: float = 0.0
     frames_received: int = 0
@@ -306,7 +305,15 @@ def _dispose_quietly(instance: WrapperInstance) -> None:
 
 
 class MiddlewareCore:
-    """The in-process middleware engine (no sockets)."""
+    """The in-process middleware engine (no sockets).
+
+    Not thread-safe: one owner thread makes every call that changes the
+    core, and in a MiddlewareServer that owner is the loop thread (or stop()
+    once the loop has exited).  Other threads may read, without a lock:
+    the sessions dict, get_session, a session's counters and
+    ports.active_count().  Each is one dict read or len, atomic under the
+    GIL; a reader copies sessions.values() with list() before walking it.
+    """
 
     def __init__(
         self,
@@ -324,10 +331,8 @@ class MiddlewareCore:
         for path in (self.store_dir / "data").glob("*.log"):
             RecordLog.recover(path)
         self.sessions: dict[str, RegistrationSession] = {}
-        self._registering: set[str] = set()  # hub ids mid-registration
-        self._lock = threading.Lock()
-        # shell hook, called without self._lock with the session before its
-        # instance stops, so a network wrapper can close the data port first
+        # shell hook, called with the session before its instance stops, so
+        # a network wrapper can close the data port first
         self.on_teardown: Optional[Callable[[RegistrationSession], None]] = None
 
     # --- registration ------------------------------------------------------
@@ -335,26 +340,19 @@ class MiddlewareCore:
     def handle_register(self, raw: bytes, reregister: bool = False) -> wire.AssignPayload:
         """Run the registration pipeline; returns what ASSIGN tells the hub.
         With reregister, an active session of the hub is torn down first
-        (plan reuse applies); an unknown hub registers normally.
+        (plan reuse applies); an unknown hub registers normally.  The
+        session enters the table, ACTIVE, only once every step has run.
 
         Raises:
             MalformedDocument/UnknownVersion/SchemaViolation: bad document.
-            NameCollision: hub already active and reregister not set, or
-                another registration or a teardown of the hub is in progress.
+            NameCollision: hub already active and reregister not set.
             NoFreePort: port range exhausted.
         """
         t0 = time.perf_counter()
         doc = parse_musdd(raw)
-
-        # Claim the hub id before any compile or I/O: a concurrent attempt for
-        # the same hub fails here, never in the rollback that would undo ours.
-        with self._lock:
-            if doc.hub_id in self._registering:
-                raise NameCollision(f"hub {doc.hub_id!r} is already registering")
-            existing = self.sessions.pop(doc.hub_id, None) if reregister else None
-            if doc.hub_id in self.sessions:
-                raise NameCollision(f"hub {doc.hub_id!r} already registered")
-            self._registering.add(doc.hub_id)
+        existing = self.sessions.pop(doc.hub_id, None) if reregister else None
+        if doc.hub_id in self.sessions:
+            raise NameCollision(f"hub {doc.hub_id!r} already registered")
 
         port = None
         instance = None
@@ -377,26 +375,20 @@ class MiddlewareCore:
                 cache_hit=cache_hit,
             )
             session.log = RecordLog(self.store_dir / "data" / f"{doc.hub_id}.log")
-            session.state = SessionState.ACTIVE
             session.configuration_time_ms = (time.perf_counter() - t0) * 1000.0
-            with self._lock:
-                self.sessions[doc.hub_id] = session
-                self._registering.discard(doc.hub_id)
         except BaseException:
             self.catalog.teardown(doc.hub_id)
             if port is not None:
                 self.ports.release(port)
             if instance is not None:
                 _dispose_quietly(instance)
-            with self._lock:
-                self._registering.discard(doc.hub_id)
             raise
+        self.sessions[doc.hub_id] = session
         return wire.AssignPayload(port, session.token, vsd.wrapper_name, plan.field_layout)
 
     def _release(self, session: RegistrationSession) -> None:
         """Close what a session taken out of the table holds, its data port
-        first.  Runs without self._lock: on_teardown may wait for a thread
-        that needs it.  The caller keeps the hub id in _registering."""
+        first."""
         if self.on_teardown is not None:
             self.on_teardown(session)
         _dispose_quietly(session.instance)
@@ -406,34 +398,25 @@ class MiddlewareCore:
         session.state = SessionState.TORN_DOWN
 
     def teardown_session(self, hub_id: str) -> None:
-        with self._lock:
-            session = self.sessions.pop(hub_id, None)
-            if session is None:
-                raise UnknownHub(f"no session for hub {hub_id!r}")
-            self._registering.add(hub_id)
-        try:
-            self._release(session)
-        finally:
-            with self._lock:
-                self._registering.discard(hub_id)
+        session = self.sessions.pop(hub_id, None)
+        if session is None:
+            raise UnknownHub(f"no session for hub {hub_id!r}")
+        self._release(session)
 
     def shutdown(self) -> None:
         for hub_id in list(self.sessions):
-            with contextlib.suppress(UnknownHub):  # torn down meanwhile
-                self.teardown_session(hub_id)
+            self.teardown_session(hub_id)
 
     def get_session(self, hub_id: str) -> RegistrationSession:
-        with self._lock:
-            session = self.sessions.get(hub_id)
+        session = self.sessions.get(hub_id)
         if session is None:
             raise UnknownHub(f"no session for hub {hub_id!r}")
         return session
 
     def get_session_by_token(self, token: bytes) -> RegistrationSession:
-        with self._lock:
-            for session in self.sessions.values():
-                if session.token == token:
-                    return session
+        for session in self.sessions.values():
+            if session.token == token:
+                return session
         raise UnknownHub("no session for that token")
 
     # --- ingest --------------------------------------------------------------
@@ -489,9 +472,7 @@ class MiddlewareCore:
             out = io.StringIO()
             w = csv.writer(out)
             w.writerow(["hub_id", "state", "records_decoded", "fingerprint"])
-            with self._lock:
-                rows = sorted(self.sessions.values(), key=lambda s: s.hub_id)
-            for s in rows:
+            for s in sorted(self.sessions.values(), key=lambda s: s.hub_id):
                 w.writerow(
                     [s.hub_id, s.state.value, s.records_decoded, s.instance.plan.fingerprint.digest]
                 )
@@ -584,12 +565,17 @@ class _Control:
 class MiddlewareServer:
     """The network shell around a MiddlewareCore, served by one loop thread.
 
-    Only the loop thread touches the selector and the sockets.  Another
-    thread hands work over with _call: the request is queued, a byte on
-    the wakeup socketpair wakes the loop, and the loop runs queued requests
-    after each round of events, so no request lands in the middle of one.
-    (On the loop thread itself, _call runs the request at once.)  Requests
-    are taken only while the loop runs, from start() until the loop exits.
+    The loop thread owns the core, the selector and the sockets: it makes
+    every call that changes them, and stop() makes them only once the loop
+    has exited.  Another thread changes nothing but through teardown() and
+    stop(), which hand work over with _call: the request is queued, a byte
+    on the wakeup socketpair wakes the loop, and the loop runs queued
+    requests after each round of events, so no request lands in the middle
+    of one.  (On the loop thread itself, _call runs the request at once.)
+    Requests are taken only while the loop runs, from start() until the
+    loop exits.  Other threads may read what MiddlewareCore lists as safe
+    to read: core.sessions, core.get_session, a session's counters and
+    core.ports.active_count().
     """
 
     def __init__(
@@ -601,8 +587,8 @@ class MiddlewareServer:
         port_range: tuple[int, int] = DEFAULT_DATA_PORTS,
     ):
         self.core = MiddlewareCore(store_dir, strategy, port_range)
-        # returns once the loop can no longer touch the session
-        self.core.on_teardown = lambda session: self._call(self._drop, session.data_port)
+        # runs on the owner: the loop, or stop() once the loop has exited
+        self.core.on_teardown = lambda session: self._drop(session.data_port)
         self.host = host
         self._control = socket.create_server((host, control_port))
         self._control.setblocking(False)
@@ -633,31 +619,43 @@ class MiddlewareServer:
         held control connections included.  Stopping again does nothing."""
         if self._call(self._halt):
             self._thread.join()
-        self.core.shutdown()
-        for data_port in list(self._ports):
-            self._drop(data_port)
+        self.core.shutdown()  # its teardown hook drops each data port
         watched = self._selector.get_map() or {}  # None once the selector is closed
         for key in [*watched.values(), *(key for _, key in self._paused)]:
             key.fileobj.close()
         self._selector.close()
         self._wake_w.close()
 
+    def teardown(self, hub_id: str) -> None:
+        """Tear the hub's session down on the loop thread, or on this one
+        when no loop runs, and return once its data port is closed.
+
+        Raises:
+            UnknownHub: the hub has no session.
+        """
+        if not self._call(self.core.teardown_session, hub_id):
+            self.core.teardown_session(hub_id)
+
     def _call(self, fn, *args) -> bool:
         """Run fn on the loop thread and return once it has run: at once on
         the loop thread itself, between two rounds of events from any other.
-        Returns False, without running fn, when the loop is not running."""
+        What fn raises is raised here, on the caller.  Returns False,
+        without running fn, when the loop is not running."""
         if threading.current_thread() is self._thread:
             fn(*args)
             return True
         done = threading.Event()
+        failed: list[Exception] = []
         with self._requests_lock:
             if not self._open:
                 return False
-            self._requests.append((fn, args, done))
+            self._requests.append((fn, args, done, failed))
             # if the send would block, the socketpair is full of unread wakeups
             with contextlib.suppress(BlockingIOError):
                 self._wake_w.send(b"\0")
         done.wait()
+        if failed:
+            raise failed[0]
         return True
 
     # --- the loop thread ---------------------------------------------------------
@@ -686,9 +684,11 @@ class MiddlewareServer:
             with self._requests_lock:
                 if not self._requests:
                     return
-                fn, args, done = self._requests.popleft()
+                fn, args, done, failed = self._requests.popleft()
             try:
                 fn(*args)
+            except Exception as exc:  # the caller's to handle, not the loop's
+                failed.append(exc)
             finally:
                 done.set()
 

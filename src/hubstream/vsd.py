@@ -77,16 +77,19 @@ def serialize_vsd(vsd: VirtualSensorDefinition) -> bytes:
 class VsdCatalog:
     """Registry of live definitions, one per hub, persisted for inspection.
 
-    Liveness is in-memory state: a definition file left by an earlier
-    process does not block a fresh registration (the file is overwritten),
-    but a second generate for a hub that is live in this process raises
-    NameCollision until torn down.
+    Liveness is in-memory state, and no hub is live when a catalog opens,
+    so opening deletes every definition file an earlier process left (one
+    that ended without tearing its hubs down): the directory lists exactly
+    the live hubs.  A second generate for a live hub raises NameCollision
+    until torn down.
     """
 
     def __init__(self, store_dir):
         self._dir = Path(store_dir) / "vsd"
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
+            for path in self._dir.glob("*.xml"):
+                path.unlink()
         except OSError as exc:
             raise RepositoryIO(f"cannot open vsd store: {exc}") from exc
         self._live: dict[str, VirtualSensorDefinition] = {}

@@ -38,7 +38,8 @@ the empty-schema digest regardless of how many schemas use it; the field
 layout each SPSW registration needs at runtime lives on the in-memory
 plan object and on the wrapper instance, not on disk.  A stored plan is
 served only if its strategy byte matches its directory and its field
-table fingerprints to its file name.
+table fingerprints to its file name; the store deletes any other plan
+file, and any ``.tmp`` file a write left behind, when it opens.
 
 A WrapperInstance drives one hub's stream through the five-method
 lifecycle: initialize, start, stop, dispose, and on_stream_element, with
@@ -55,7 +56,6 @@ from __future__ import annotations
 import logging
 import os
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,6 +65,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     FrameTooShort,
+    HubStreamError,
     IllegalTransition,
     InvalidText,
     MalformedDocument,
@@ -406,20 +407,17 @@ def load_plan(data: bytes, digest: str) -> WrapperPlan:
 class PlanRepository:
     """Fingerprint-keyed plan cache backed by one file per plan.
 
-    Lookups and inserts are safe across threads; when two callers race to
-    add the same plan, one write wins and both observe the stored plan.
     Existing plan files are indexed at construction, so a repository
     reopened on the same store directory serves cache hits without
     recompiling (SPSW's per-schema layouts are runtime state, not files,
     so those re-derive after a restart; the single generic file persists).
-    A file whose strategy byte or field table does not match its path is
-    logged and left out; the next lookup compiles that plan and rewrites
-    the file.
+    A file that does not load, or whose strategy byte or field table does
+    not match its path, is deleted with a warning; plans derive from
+    schemas, so the next lookup compiles that plan and rewrites the file.
     """
 
     def __init__(self, store_dir: str | os.PathLike):
         self._root = Path(store_dir) / "plans"
-        self._lock = threading.Lock()
         self._plans: dict[tuple[Strategy, str], WrapperPlan] = {}
         try:
             for strategy in Strategy:
@@ -430,22 +428,23 @@ class PlanRepository:
 
     def _scan(self) -> None:
         for strategy in Strategy:
-            for path in sorted((self._root / strategy.tag).glob("*.plan")):
-                digest = path.stem
-                if strategy is Strategy.SPSW and digest == GENERIC_SCHEMA_DIGEST:
-                    # storage witness for the shared generic plan; carries
-                    # no layout, so it is not a servable cache entry
-                    continue
+            folder = self._root / strategy.tag
+            for tmp in folder.glob("*.tmp"):  # a write that never reached its replace
+                tmp.unlink()
+            for path in sorted(folder.glob("*.plan")):
                 try:
-                    plan = load_plan(path.read_bytes(), digest)
-                except OSError as exc:
-                    raise RepositoryIO(f"cannot read {path}: {exc}") from exc
-                if plan.strategy is not strategy or (
+                    plan = load_plan(path.read_bytes(), path.stem)
+                except HubStreamError:
+                    plan = None
+                if plan is None or plan.strategy is not strategy or (
                     schema_fingerprint(plan.field_layout) != plan.fingerprint
                 ):
-                    _log.warning("plan file %s does not match its path; not serving it", path)
-                    continue
-                self._plans[(strategy, digest)] = plan
+                    _log.warning("plan file %s is damaged or does not match its path; deleted", path)
+                    path.unlink()
+                elif strategy is Strategy.DGCW:
+                    # SPSW keeps one generic file, a storage witness with no
+                    # layout, so it is never a servable cache entry
+                    self._plans[(strategy, path.stem)] = plan
 
     def _path_for(self, strategy: Strategy, digest: str) -> Path:
         if strategy is Strategy.SPSW:
@@ -471,14 +470,13 @@ class PlanRepository:
     ) -> tuple[WrapperPlan, bool]:
         """Return (plan, cache_hit).  compile_fn runs only on a miss."""
         key = (strategy, fp.digest)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                return plan, True
-            plan = compile_fn()
-            self._persist(plan)
-            self._plans[key] = plan
-            return plan, False
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan, True
+        plan = compile_fn()
+        self._persist(plan)
+        self._plans[key] = plan
+        return plan, False
 
 
 def instantiate(plan: WrapperPlan, hub_id: str) -> "WrapperInstance":

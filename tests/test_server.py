@@ -5,7 +5,6 @@ import errno
 import io
 import random
 import socket
-import sys
 import threading
 import time
 import tracemalloc
@@ -35,7 +34,7 @@ from hubstream.server import (
     ACCEPT_BACKOFF_S,
     RECV_BYTES,
 )
-from hubstream.wrapper import LifecycleState, Strategy, decode_record
+from hubstream.wrapper import LifecycleState, Strategy, decode_record, serialize_plan
 
 from oracles import random_row, random_schema, reference_frame
 
@@ -149,37 +148,54 @@ class TestRegistration:
         assert a.data_port != b.data_port
 
 
-class TestConcurrentRegistration:
-    def test_same_hub_from_two_threads_registers_once(self, tmp_path):
-        raw = doc_bytes(SMALL)
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for trial in range(100):
-                core = MiddlewareCore(tmp_path / f"t{trial}", port_range=(7100, 7110))
-                barrier = threading.Barrier(2)
-                outcomes = []
+class TestStoreOpen:
+    """Whatever a crash leaves in the store, the next core opens it."""
 
-                def attempt():
-                    barrier.wait(timeout=5)
-                    try:
-                        core.handle_register(raw)
-                        outcomes.append("registered")
-                    except NameCollision:
-                        outcomes.append("collision")
+    @pytest.mark.parametrize("damage", ["empty", "cut"])
+    def test_damaged_plan_file_is_deleted_and_compiled_again(self, tmp_path, caplog, damage):
+        core = MiddlewareCore(tmp_path)
+        core.handle_register(doc_bytes(SMALL))
+        core.shutdown()
+        (path,) = (tmp_path / "plans" / "dgcw").glob("*.plan")
+        path.write_bytes(b"" if damage == "empty" else path.read_bytes()[:-3])
+        reopened = MiddlewareCore(tmp_path)
+        assert str(path) in caplog.text
+        assert not path.exists()
+        reopened.handle_register(doc_bytes(SMALL))
+        session = reopened.get_session("hub_a")
+        assert session.cache_hit is False
+        assert path.read_bytes() == serialize_plan(session.instance.plan)
+        reopened.shutdown()
 
-                threads = [threading.Thread(target=attempt) for _ in range(2)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert sorted(outcomes) == ["collision", "registered"], f"trial {trial}"
-                core.shutdown()
-                assert core.ports.active_count() == 0, f"trial {trial}"
-                assert core.catalog.live("hub_a") is None, f"trial {trial}"
-        finally:
-            sys.setswitchinterval(old_interval)
+    def test_stray_spsw_plan_file_and_leftover_tmp_are_deleted(self, tmp_path, caplog):
+        core = MiddlewareCore(tmp_path, Strategy.SPSW)
+        core.handle_register(doc_bytes(SMALL))
+        core.shutdown()
+        spsw = tmp_path / "plans" / "spsw"
+        (generic,) = spsw.glob("*.plan")
+        stray = spsw / ("0" * 32 + ".plan")
+        stray.write_bytes(generic.read_bytes())
+        leftover = tmp_path / "plans" / "dgcw" / ("1" * 32 + ".tmp")
+        leftover.write_bytes(b"MSHP")
+        reopened = MiddlewareCore(tmp_path, Strategy.SPSW)
+        assert str(stray) in caplog.text
+        assert list(spsw.iterdir()) == [generic]
+        assert not leftover.exists()
+        reopened.handle_register(doc_bytes(SMALL))
+        assert reopened.get_session("hub_a").cache_hit is False
+        reopened.shutdown()
+
+    def test_definition_files_of_a_crashed_core_are_deleted(self, tmp_path):
+        crashed = MiddlewareCore(tmp_path)
+        crashed.handle_register(doc_bytes(SMALL, hub="hub_a"))
+        crashed.handle_register(doc_bytes(SMALL, hub="hub_b"))
+        for session in crashed.sessions.values():  # the process died: no shutdown()
+            session.log.close()
+        core = MiddlewareCore(tmp_path)
+        core.handle_register(doc_bytes(SMALL, hub="hub_b"))
+        assert core.catalog.live("hub_a") is None
+        assert {p.name for p in (tmp_path / "vsd").iterdir()} == {"vs_hub_b.xml"}
+        core.shutdown()
 
 
 class TestRollback:
@@ -843,7 +859,7 @@ class TestTcp:
             body = reference_frame(SMALL, [1.0, "x"], 0, 0)
             data.sendall(assign.token + wire.U32.pack(len(body)) + body)
             assert wait_until(lambda: session.records_decoded == 1)
-            server.core.teardown_session("hub_a")
+            server.teardown("hub_a")
             try:
                 assert data.recv(1) == b""  # the served connection is closed
             except ConnectionResetError:
@@ -1141,25 +1157,27 @@ class TestTcp:
                     assert f"'{hub}'" in wire.unpack_nack(payload)[1]
 
     def test_teardown_from_another_thread_beside_a_registration(self, tmp_path, monkeypatch):
-        """A registration on the loop thread takes the core's lock while
-        another thread tears a session down and waits for the loop to
-        close its port: neither may wait for the other."""
+        """A teardown asked for from another thread while the loop is inside
+        a registration runs on the loop once that registration has replied,
+        and returns after it."""
         srv = MiddlewareServer(
             tmp_path, Strategy.DGCW, control_port=0, port_range=(17100, 17140)
         ).start()
         stuck = False
         try:
-            assert register_over_tcp(srv, SMALL, hub="hub_a")[0] == wire.OP_ASSIGN
-            parsing, in_hook = threading.Event(), threading.Event()
+            _, assign_a = register_over_tcp(srv, SMALL, hub="hub_a")
+            parsing = threading.Event()
+            seen_by_teardown = []
             drop = srv.core.on_teardown
 
             def hook(session):
-                in_hook.set()
+                seen_by_teardown.append(set(srv.core.sessions))
                 drop(session)
 
             def parse(raw):
                 parsing.set()
-                in_hook.wait(5)  # let the teardown reach the hook first
+                # stay inside the registration until the teardown is queued
+                assert wait_until(lambda: srv._requests, timeout=5)
                 return real_parse(raw)
 
             real_parse = server_module.parse_musdd
@@ -1172,16 +1190,58 @@ class TestTcp:
             )
             registering.start()
             assert parsing.wait(5)
-            teardown = threading.Thread(
-                target=srv.core.teardown_session, args=("hub_a",), daemon=True
-            )
+            teardown = threading.Thread(target=srv.teardown, args=("hub_a",), daemon=True)
             teardown.start()
             teardown.join(10)
             registering.join(10)
             stuck = teardown.is_alive() or registering.is_alive()
             assert not stuck
             assert replies[0][0] == wire.OP_ASSIGN
+            assert seen_by_teardown == [{"hub_b"}]  # hub_b's registration came first
             assert set(srv.core.sessions) == {"hub_b"}
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", assign_a.data_port), timeout=5).close()
         finally:
             if not stuck:  # stop() would wait for a stuck loop too
                 srv.stop()
+
+    def test_same_hub_registering_on_two_connections_at_once(self, server, monkeypatch):
+        """Two clients send REGISTER for one hub, both before either reads:
+        one gets ASSIGN, the other NameCollision, and nothing leaks."""
+        created = []
+
+        def counting_instantiate(plan, hub_id):
+            created.append(real_instantiate(plan, hub_id))
+            return created[-1]
+
+        real_instantiate = server_module.instantiate
+        monkeypatch.setattr(server_module, "instantiate", counting_instantiate)
+        hubs = [f"hub_{i}" for i in range(20)]
+        for hub in hubs:
+            socks = [control_connect(server) for _ in range(2)]
+            try:
+                message = wire.pack_register(doc_bytes(SMALL, hub), False)
+                for sock in socks:
+                    wire.write_message(sock, wire.OP_REGISTER, message)
+                replies = [wire.read_message(sock) for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+            opcodes = sorted(opcode for opcode, _ in replies)
+            assert opcodes == sorted([wire.OP_ASSIGN, wire.OP_NACK]), hub
+            (nack,) = [payload for opcode, payload in replies if opcode == wire.OP_NACK]
+            assert wire.unpack_nack(nack)[0] == wire.NACK_NAME_COLLISION
+        assert set(server.core.sessions) == set(hubs)
+        assert server.core.ports.active_count() == len(hubs)
+        assert [i.hub_id for i in created] == hubs
+        assert all(i.state is LifecycleState.RUNNING for i in created)
+        definitions = {p.name for p in (server.core.store_dir / "vsd").iterdir()}
+        assert definitions == {f"vs_{hub}.xml" for hub in hubs}
+
+    def test_teardown_of_an_unknown_hub_raises_on_the_caller(self, server):
+        with pytest.raises(UnknownHub):
+            server.teardown("nobody")
+        with control_connect(server) as sock:
+            wire.write_message(sock, wire.OP_STATUS, wire.pack_status(STATUS_LIST))
+            opcode, _ = wire.read_message(sock)
+        assert opcode == wire.OP_STATUS_OK

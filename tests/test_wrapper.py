@@ -2,7 +2,6 @@
 
 import random
 import struct
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,28 +392,6 @@ class TestRepository:
         assert (plan.strategy, plan.field_names) == (strategy, ("temp", "hum"))
         if strategy is Strategy.DGCW:
             assert path.read_bytes() == serialize_plan(plan)
-
-    def test_concurrent_lookups_single_writer(self, tmp_path):
-        repo = PlanRepository(tmp_path)
-        doc = doc_for([("a", ValueType.INT)])
-        fp = fingerprint(doc)
-        results = []
-        barrier = threading.Barrier(8)
-
-        def worker():
-            barrier.wait()
-            plan, hit = repo.lookup_or_add(
-                fp, Strategy.DGCW, lambda: compile_plan(doc, Strategy.DGCW)
-            )
-            results.append((id(plan), hit))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(1 for _, hit in results if not hit) == 1
-        assert len({plan_id for plan_id, _ in results}) == 1
 
 
 class TestInstantiate:
