@@ -58,22 +58,27 @@ loop and closes every socket, control connections included.
 Ingest publishes a batch in this order.  For each frame: validate and
 dedup (records_decoded moves); no record is built, and the wrapper keeps
 the accepted body with the highest sequence number.  Then the accepted
-frame bodies go to the record log in one write and one flush, and only
-after that flush does frames_received move.  So a reader that sees
-frames_received cover a frame finds that frame in the log.  Records are
+frame bodies go to the record log in one unbuffered write, and only after
+that write does frames_received move.  So a reader that sees
+frames_received cover a frame finds that frame in the log.  A batch whose
+append fails changes neither the log nor the session: the log is cut back
+to its size before the write, the wrapper's dedup window, newest body and
+counters are put back, and a resend of the batch is stored.  Records are
 decoded on read: STATUS_LATEST and STATUS_WINDOW are two renderings of
 one record, that highest-sequence body, decoded once per query.  No other
 body is kept in memory.
 
-Durability: the record log is flushed to the operating system once per
-batch and never fsynced.  A crash of the server process loses at most the
-batch being ingested (the frames of one read, up to RECV_BYTES); a crash
-of the machine can lose whatever the operating system had not yet
-written.  A crash mid-write leaves a torn last entry, which the next
-MiddlewareCore on the store cuts off (and logs) when it opens, so the
-entries appended after it replay.  The bytes cut are appended to
-``<hub_id>.log.torn`` beside the log first: a corrupt length in the middle
-of a log looks torn too, and the entries after it are kept there.
+Durability: the record log is written to the operating system once per
+batch and never fsynced.  A write that fails (a full disk, say) leaves the
+log and the session as they were before the batch.  A crash of the server
+process loses at most the batch being ingested (the frames of one read, up
+to RECV_BYTES); a crash of the machine can lose whatever the operating
+system had not yet written.  A crash mid-write leaves a torn last entry,
+which the next MiddlewareCore on the store cuts off (and logs) when it
+opens, so the entries appended after it replay.  The bytes cut are
+appended to ``<hub_id>.log.torn`` beside the log first: a corrupt length
+in the middle of a log looks torn too, and the entries after it are kept
+there.
 
 Each accepted record is appended to a per-hub record log at
 ``<store>/data/<hub_id>.log``: an 8-byte big-endian arrival timestamp
@@ -199,17 +204,27 @@ class RecordLog:
     def __init__(self, path: Path):
         self._path = path
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "ab")
+        self._fh = open(path, "ab", buffering=0)
+        self._size = os.fstat(self._fh.fileno()).st_size  # bytes of whole appends
 
     def append(self, arrival_ms: int, *frame_bodies: bytes) -> None:
-        """Append one entry per frame body, all stamped arrival_ms, in one
-        write and one flush."""
+        """Append one entry per frame body, all stamped arrival_ms, unbuffered,
+        so the entries are with the operating system when this returns.  If
+        the write fails (the disk is full, say), the file is cut back to its
+        size before the call and the error raised: the log is as it was."""
         arrival = self.ARRIVAL.pack(arrival_ms)
         pack_length = wire.U32.pack
         entries = [b""]  # so the join puts an arrival stamp before every entry
         entries += [pack_length(len(body)) + body for body in frame_bodies]
-        self._fh.write(arrival.join(entries))
-        self._fh.flush()
+        data = memoryview(arrival.join(entries))
+        try:
+            written = 0
+            while written < len(data):  # a short write is followed by another
+                written += self._fh.write(data[written:])
+        except BaseException:
+            os.ftruncate(self._fh.fileno(), self._size)
+            raise
+        self._size += written
 
     def close(self) -> None:
         self._fh.close()
@@ -428,28 +443,43 @@ class MiddlewareCore:
         session's wrapper; returns how many were stored.
 
         Each frame is validated and deduplicated without being decoded.
-        The accepted bodies go to the record log in one write and one
-        flush, and only then does frames_received move.  Malformed frames
-        and sequence regressions are counted and skipped; duplicates are
-        dropped by the wrapper.
+        The accepted bodies go to the record log in one write, and only
+        then does frames_received move.  Malformed frames and sequence
+        regressions are counted and skipped; duplicates are dropped by the
+        wrapper.  If anything raises, the log append included, the wrapper's
+        window, newest body and counters are put back as they were before
+        the batch, so a resend of the batch is stored.
         """
-        on_stream_element = session.instance.on_stream_element
+        instance = session.instance
+        on_stream_element = instance.on_stream_element
+        saved = (
+            instance.last_sequence, instance._seen, instance.newest,
+            instance.records_decoded, instance.duplicates_dropped, instance.sequence_regressions,
+        )
         stored = []
         malformed = 0
-        for body in frame_bodies:
-            try:
-                accepted = on_stream_element(body)
-            except (
-                FrameTooShort, TypeTagMismatch, TrailingBytes, InvalidText, SequenceRegression
-            ):
-                malformed += 1
-                continue
-            if accepted is not None:
-                stored.append(accepted)
-        if stored:
-            if arrival_ms is None:
-                arrival_ms = int(time.time() * 1000)
-            session.log.append(arrival_ms, *stored)
+        try:
+            for body in frame_bodies:
+                try:
+                    accepted = on_stream_element(body)
+                except (
+                    FrameTooShort, TypeTagMismatch, TrailingBytes, InvalidText, SequenceRegression
+                ):
+                    malformed += 1
+                    continue
+                if accepted is not None:
+                    stored.append(accepted)
+            if stored:
+                if arrival_ms is None:
+                    arrival_ms = int(time.time() * 1000)
+                session.log.append(arrival_ms, *stored)
+        except BaseException:
+            (
+                instance.last_sequence, instance._seen, instance.newest,
+                instance.records_decoded, instance.duplicates_dropped,
+                instance.sequence_regressions,
+            ) = saved
+            raise
         session.frames_malformed += malformed
         session.frames_received += len(frame_bodies)
         return len(stored)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import logging
 import os
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -106,8 +105,11 @@ _log = logging.getLogger(__name__)
 PLAN_MAGIC = b"MSHP"
 PLAN_FORMAT_VERSION = 1
 
-# Reordering tolerance: how many most-recently-accepted sequence numbers
-# are remembered for duplicate detection; anything older is a regression.
+# Reordering tolerance.  A sequence above last_sequence is accepted, shifts
+# the window and becomes newest; one within DEDUP_WINDOW of last_sequence is
+# accepted once, and later copies are counted as duplicates; anything lower
+# raises SequenceRegression.  Bit k of a wrapper's _seen is set when sequence
+# last_sequence - k was accepted.
 DEDUP_WINDOW = 64
 
 
@@ -508,8 +510,7 @@ class WrapperInstance:
         self.newest: Optional[bytes] = None  # the accepted body of last_sequence
         self.duplicates_dropped = 0
         self.sequence_regressions = 0
-        self._recent: deque[int] = deque()
-        self._recent_set: set[int] = set()
+        self._seen = 0  # the dedup window, see DEDUP_WINDOW
 
     def _illegal(self, event: str):
         raise IllegalTransition(self.state, event)
@@ -535,33 +536,29 @@ class WrapperInstance:
         self.state = LifecycleState.DISPOSED
 
     def on_stream_element(self, frame: bytes) -> Optional[bytes]:
-        """Validate one frame body and deduplicate it by sequence number;
-        no record is built.  Returns the frame body when it is accepted
-        (records_decoded counts it), or None when it is a duplicate of a
-        recently accepted sequence number (dropped and counted).  A frame
-        SPSW would not decode raises SPSW's error; a sequence number older
-        than the reordering window raises SequenceRegression.  An accepted
-        body with a sequence number above every earlier one becomes newest:
-        a resend of that number is a duplicate while it is the highest, so
-        newest is the first body accepted with the highest number."""
+        """Validate one frame body and deduplicate it by sequence number, by
+        the rule stated at DEDUP_WINDOW; no record is built.  Returns the
+        frame body when it is accepted (records_decoded counts it), or None
+        when it is a duplicate (dropped and counted).  A frame SPSW would not
+        decode raises SPSW's error; a sequence number below the window
+        raises SequenceRegression."""
         if self.state is not LifecycleState.RUNNING:
             self._illegal("on_stream_element")
         seq = self.plan._validate(frame)
-        if seq in self._recent_set:
-            self.duplicates_dropped += 1
-            return None
-        if self.last_sequence >= 0 and seq <= self.last_sequence - DEDUP_WINDOW:
-            self.sequence_regressions += 1
-            raise SequenceRegression(
-                f"sequence {seq} behind window floor "
-                f"{self.last_sequence - DEDUP_WINDOW + 1}"
-            )
-        self._recent.append(seq)
-        self._recent_set.add(seq)
-        if len(self._recent) > DEDUP_WINDOW:
-            self._recent_set.discard(self._recent.popleft())
-        if seq > self.last_sequence:
+        ahead = seq - self.last_sequence
+        if ahead > 0:
+            kept = self._seen << ahead if ahead < DEDUP_WINDOW else 0  # a long jump keeps none
+            self._seen = kept & ((1 << DEDUP_WINDOW) - 1) | 1
             self.last_sequence = seq
             self.newest = frame
+        elif ahead <= -DEDUP_WINDOW:
+            self.sequence_regressions += 1
+            floor = self.last_sequence - DEDUP_WINDOW + 1
+            raise SequenceRegression(f"sequence {seq} behind window floor {floor}")
+        elif self._seen >> -ahead & 1:
+            self.duplicates_dropped += 1
+            return None
+        else:
+            self._seen |= 1 << -ahead
         self.records_decoded += 1
         return frame

@@ -14,6 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+def reject_constant(name):
+    """Strict JSON: a result line holding NaN or Infinity is not a result."""
+    raise ValueError(f"{name} in the result line")
+
+
 def run_bench(*args):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *args],
@@ -24,7 +29,7 @@ def run_bench(*args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0
     return result["metrics"]

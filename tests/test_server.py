@@ -3,13 +3,20 @@
 import csv
 import errno
 import io
+import json
 import random
+import signal
 import socket
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from hubstream import server as server_module
 from hubstream import wire
@@ -37,6 +44,8 @@ from hubstream.server import (
 from hubstream.wrapper import LifecycleState, Strategy, decode_record, serialize_plan
 
 from oracles import random_row, random_schema, reference_frame
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def doc_bytes(schema, hub="hub_a"):
@@ -609,6 +618,253 @@ class TestStatus:
             assert session.instance.sequence_regressions > 0
             assert session.duplicates_dropped > 0
             core.shutdown()
+
+
+def latest_reply(hub, plan, body):
+    """STATUS_LATEST's reply for a session whose newest body is body."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["hub_id", "sequence", "timestamp_ms", *plan.field_names])
+    if body is not None:
+        rec = decode_record(plan, body, hub)
+        w.writerow(
+            [hub, rec.sequence, rec.timestamp_ms] + ["" if v is None else v for _, v in rec.values]
+        )
+    return out.getvalue()
+
+
+U64_MAX = 2**64 - 1
+
+
+@st.composite
+def arrivals(draw):
+    """Batches in arrival order.  An int is the sequence number of a valid
+    frame, bytes are a frame no plan accepts.  Sequences run ahead in small
+    steps and large jumps, and come back inside the dedup window (resends
+    and late frames) and below it."""
+    top = -1
+    batches = []
+    for _ in range(draw(st.integers(1, 8))):
+        batch = []
+        for _ in range(draw(st.integers(1, 12))):
+            move = draw(st.sampled_from(["ahead", "ahead", "jump", "window", "window", "below", "junk"]))
+            if move == "junk":
+                batch.append(draw(st.binary(max_size=15)))
+                continue
+            if move == "ahead":
+                seq = top + draw(st.integers(1, 3))
+            elif move == "jump":
+                seq = top + draw(st.one_of(st.integers(64, 1000), st.integers(2**63, U64_MAX)))
+            elif move == "window":
+                seq = top - draw(st.integers(0, 63))
+            else:
+                seq = top - draw(st.integers(64, 130))
+            seq = min(max(seq, 0), U64_MAX)
+            top = max(top, seq)
+            batch.append(seq)
+        batches.append(batch)
+    return batches
+
+
+class TestDedupModel:
+    """ingest_batch against a plain model of the dedup rule: a sequence at
+    least 64 below the highest accepted is a regression, one accepted before
+    is a duplicate, any other is stored."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("schema", [EIGHT, SMALL], ids=["fixed", "mixed"])
+    @seed(2013)
+    @settings(max_examples=40, deadline=None)
+    @example(batches=[[100, *range(37, 100), 101, 100]])
+    @given(batches=arrivals())
+    def test_ingest_matches_the_model(self, strategy, schema, batches):
+        with tempfile.TemporaryDirectory() as store:
+            core = MiddlewareCore(store, strategy)
+            core.handle_register(doc_bytes(schema))
+            session = core.get_session("hub_a")
+            plan = session.instance.plan
+            accepted, top, stored, newest = set(), -1, [], None
+            duplicates = regressions = junk = sent = 0
+            for batch in batches:
+                bodies = []
+                for item in batch:
+                    if isinstance(item, bytes):
+                        junk += 1
+                        bodies.append(item)
+                        continue
+                    # the arrival index as timestamp tells every copy apart
+                    body = reference_frame(schema, random_row(random.Random(sent), schema), item, sent)
+                    if top >= 0 and item <= top - 64:
+                        regressions += 1
+                    elif item in accepted:
+                        duplicates += 1
+                    else:
+                        accepted.add(item)
+                        stored.append(body)
+                        if item > top:
+                            top, newest = item, body
+                    bodies.append(body)
+                    sent += 1
+                core.ingest_batch(session, bodies, arrival_ms=1)
+                assert session.records_decoded == len(stored)
+                assert session.duplicates_dropped == duplicates
+                assert session.instance.sequence_regressions == regressions
+                assert session.frames_malformed == junk + regressions
+                assert core.status_query(STATUS_LATEST, "hub_a") == latest_reply("hub_a", plan, newest)
+            logged = [body for _, body in RecordLog.replay(Path(store) / "data" / "hub_a.log")]
+            core.shutdown()
+        assert logged == stored
+        sequences = [wire.U64.unpack_from(body)[0] for body in logged]
+        assert len(set(sequences)) == len(sequences)
+
+
+class DiskFull:
+    """A record log's file on a disk with room for `room` more bytes: a write
+    stores what fits and then raises ENOSPC.  room None: no limit."""
+
+    def __init__(self, fh, room):
+        self._fh = fh
+        self.room = room
+
+    def write(self, data):
+        if self.room is None:
+            return self._fh.write(data)
+        written = self._fh.write(data[: self.room])
+        self._fh.flush()
+        self.room -= written
+        if written < len(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return written
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestFailedAppend:
+    """A batch whose record-log append fails leaves the log and the session
+    as they were, so a resend of it is stored."""
+
+    def register(self, core):
+        core.handle_register(doc_bytes(EIGHT), reregister=True)
+        return core.get_session("hub_a")
+
+    def frames(self, seqs):
+        return [reference_frame(EIGHT, [float(seq)] * 8, seq, seq) for seq in seqs]
+
+    def logged(self, tmp_path):
+        return [body for _, body in RecordLog.replay(tmp_path / "data" / "hub_a.log")]
+
+    def test_the_session_is_as_it_was(self, tmp_path, monkeypatch):
+        core = MiddlewareCore(tmp_path)
+        session = self.register(core)
+        assert core.ingest_batch(session, self.frames([100, 101])) == 2
+        before = (session.records_decoded, session.frames_received, session.instance.newest)
+
+        def append(*_):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(session.log, "append", append)
+        with pytest.raises(OSError):
+            core.ingest_batch(session, self.frames(range(102, 110)))
+        monkeypatch.undo()
+        assert (session.records_decoded, session.frames_received, session.instance.newest) == before
+        assert session.records_decoded == len(self.logged(tmp_path))
+        latest = list(csv.reader(io.StringIO(core.status_query(STATUS_LATEST, "hub_a"))))
+        logged_sequences = [wire.U64.unpack_from(body)[0] for body in self.logged(tmp_path)]
+        assert int(latest[1][1]) in logged_sequences
+        # the resend, and late frames the failed batch had moved the window past
+        resend = self.frames([*range(102, 110), *range(90, 100)])
+        assert core.ingest_batch(session, resend) == 18
+        assert session.duplicates_dropped == 0
+        assert self.logged(tmp_path) == self.frames([100, 101]) + resend
+
+    @pytest.mark.parametrize("room", [0, 200, 250], ids=["nothing", "entry_boundary", "mid_entry"])
+    def test_the_log_is_as_it_was(self, tmp_path, caplog, room):
+        core = MiddlewareCore(tmp_path)
+        session = self.register(core)
+        core.ingest_batch(session, self.frames([100, 101]))
+        assert len(self.logged(tmp_path)) == 2 and 12 + len(self.frames([0])[0]) == 100
+        session.log._fh = disk = DiskFull(session.log._fh, room)
+        with pytest.raises(OSError):
+            core.ingest_batch(session, self.frames(range(102, 110)))
+        assert self.logged(tmp_path) == self.frames([100, 101])
+        disk.room = None  # room again
+        assert core.ingest_batch(session, self.frames(range(102, 110))) == 8
+        assert core.ingest_batch(session, self.frames([110, 111])) == 2
+        session = self.register(core)
+        assert core.ingest_batch(session, self.frames([112, 113])) == 2
+        core.shutdown()
+        MiddlewareCore(tmp_path)
+        assert self.logged(tmp_path) == self.frames(range(100, 114))
+        assert not (tmp_path / "data" / "hub_a.log.torn").exists()
+        assert "dropped" not in caplog.text
+
+
+FSIZE_PROBE = """
+import json, resource, signal, sys
+sys.path[:0] = sys.argv[1:3]
+from pathlib import Path
+from oracles import reference_frame
+from hubstream.sdd import SensorDescriptor, ValueType, build_musdd, serialize_musdd
+from hubstream.server import MiddlewareCore, RecordLog
+
+store, cap = Path(sys.argv[3]), int(sys.argv[4])
+schema = [(f"s{i}", ValueType.DOUBLE) for i in range(8)]  # 100-byte log entries
+doc = serialize_musdd(build_musdd(
+    "hub_a", None, [SensorDescriptor(name=n, value_type=t, sample_period_ms=100) for n, t in schema]
+))
+frames = lambda seqs: [reference_frame(schema, [float(s)] * 8, s, s) for s in seqs]
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the cap fails with EFBIG
+core = MiddlewareCore(store)
+core.handle_register(doc)
+session = core.get_session("hub_a")
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (cap, hard))
+seq = 0
+try:
+    while True:
+        core.ingest_batch(session, frames(range(seq, seq + 100)))
+        seq += 100
+except OSError as exc:
+    error = exc.errno
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+log = store / "data" / "hub_a.log"
+failed = [session.records_decoded, session.instance.last_sequence, log.stat().st_size]
+core.handle_register(doc, reregister=True)
+core.ingest_batch(core.get_session("hub_a"), frames(range(seq, seq + 500)))
+core.shutdown()
+MiddlewareCore(store)
+print(json.dumps({
+    "error": error,
+    "failed": failed,
+    "replayed": [int.from_bytes(body[:8], "big") for _, body in RecordLog.replay(log)],
+    "torn": (store / "data" / "hub_a.log.torn").exists(),
+}))
+"""
+
+
+@pytest.mark.parametrize("cap", [200_000, 200_050], ids=["entry_boundary", "mid_entry"])
+def test_a_write_past_the_file_size_limit_leaves_the_log_as_it_was(tmp_path, cap):
+    """A child process caps its own file size with RLIMIT_FSIZE, so a log
+    write fails part-way as it would on a full disk."""
+    resource = pytest.importorskip("resource", reason="RLIMIT_FSIZE needs the POSIX resource module")
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("no SIGXFSZ on this platform, so a write past RLIMIT_FSIZE cannot be made to fail")
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    if hard != resource.RLIM_INFINITY and hard < 2 * cap:
+        pytest.skip(f"the hard file size limit ({hard} bytes) is below what the probe needs")
+    proc = subprocess.run(
+        [sys.executable, "-c", FSIZE_PROBE, str(ROOT / "src"), str(ROOT / "tests"), str(tmp_path), str(cap)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["error"] == errno.EFBIG
+    assert result["failed"] == [2000, 1999, 200_000]
+    assert result["replayed"] == list(range(2500))
+    assert result["torn"] is False
 
 
 # --- TCP shell ----------------------------------------------------------------

@@ -487,7 +487,7 @@ class TestLifecycle:
 class TestDedup:
     def frames(self, seqs):
         return [
-            reference_frame([("f", ValueType.INT)], [int(s)], s, 0) for s in seqs
+            reference_frame([("f", ValueType.INT)], [s % 2**63], s, 0) for s in seqs
         ]
 
     def running(self):
@@ -532,3 +532,36 @@ class TestDedup:
         for frame in self.frames([0, 2, 1]):
             inst.on_stream_element(frame)
         assert inst.last_sequence == 2
+
+    def test_resend_below_the_floor_is_a_regression(self):
+        """Below the window a sequence is a regression, even one that was
+        accepted before a jump."""
+        inst = self.running()
+        for frame in self.frames([0, 1, 2, 1000]):
+            inst.on_stream_element(frame)
+        with pytest.raises(SequenceRegression):
+            inst.on_stream_element(self.frames([1])[0])
+        assert inst.duplicates_dropped == 0
+        assert inst.sequence_regressions == 1
+
+    # Jumps here are at least 2**63: a window shifted by the whole jump
+    # would fail at once with OverflowError rather than allocate.
+    def test_first_frame_at_the_top_of_u64(self):
+        inst = self.running()
+        top = self.frames([2**64 - 1])[0]
+        assert inst.on_stream_element(top) is top
+        assert inst.last_sequence == 2**64 - 1
+        assert inst.newest is top
+        assert inst.on_stream_element(top) is None
+        assert inst.duplicates_dropped == 1
+
+    def test_jump_from_zero_to_the_top_of_u64_then_zero_again(self):
+        inst = self.running()
+        zero, top = self.frames([0, 2**64 - 1])
+        assert inst.on_stream_element(zero) is zero
+        assert inst.on_stream_element(top) is top
+        assert inst.last_sequence == 2**64 - 1
+        with pytest.raises(SequenceRegression):
+            inst.on_stream_element(zero)
+        assert (inst.records_decoded, inst.duplicates_dropped, inst.sequence_regressions) == (2, 0, 1)
+        assert inst.newest is top
