@@ -462,6 +462,19 @@ class TestIngest:
         assert peak < 1_000_000
 
 
+def latest_reply(hub, plan, body):
+    """STATUS_LATEST's reply for a session whose newest body is body."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["hub_id", "sequence", "timestamp_ms", *plan.field_names])
+    if body is not None:
+        rec = decode_record(plan, body, hub)
+        w.writerow(
+            [hub, rec.sequence, rec.timestamp_ms] + ["" if v is None else v for _, v in rec.values]
+        )
+    return out.getvalue()
+
+
 class TestStatus:
     def test_empty_list(self, tmp_path):
         core = MiddlewareCore(tmp_path)
@@ -603,34 +616,13 @@ class TestStatus:
                     row = random_row(rng, schema)
                     batch.append(reference_frame(schema, row, seq, rng.randrange(2**40)))
                 core.ingest_batch(session, batch)
-                expected = io.StringIO()
-                w = csv.writer(expected)
-                w.writerow(["hub_id", "sequence", "timestamp_ms", *plan.field_names])
                 bodies = [body for _, body in RecordLog.replay(log_path)]
-                if bodies:
-                    # max() keeps the first of equal keys
-                    rec = decode_record(plan, max(bodies, key=wire.U64.unpack_from), hub)
-                    w.writerow(
-                        [hub, rec.sequence, rec.timestamp_ms]
-                        + ["" if v is None else v for _, v in rec.values]
-                    )
-                assert core.status_query(STATUS_LATEST, hub) == expected.getvalue()
+                # max() keeps the first of equal keys
+                newest = max(bodies, key=wire.U64.unpack_from) if bodies else None
+                assert core.status_query(STATUS_LATEST, hub) == latest_reply(hub, plan, newest)
             assert session.instance.sequence_regressions > 0
             assert session.duplicates_dropped > 0
             core.shutdown()
-
-
-def latest_reply(hub, plan, body):
-    """STATUS_LATEST's reply for a session whose newest body is body."""
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["hub_id", "sequence", "timestamp_ms", *plan.field_names])
-    if body is not None:
-        rec = decode_record(plan, body, hub)
-        w.writerow(
-            [hub, rec.sequence, rec.timestamp_ms] + ["" if v is None else v for _, v in rec.values]
-        )
-    return out.getvalue()
 
 
 U64_MAX = 2**64 - 1
